@@ -3,7 +3,9 @@
 Decision subcommands print a human-readable verdict followed by a
 machine-readable last line (`yes` or `no`, plus witnesses in word/lasso
 literal syntax).  Exit codes: 0 affirmative or success, 1 negative
-decision, 2 usage/parse/validation error.
+decision, 2 usage/parse/validation error or resource limit (state cap,
+expression nested too deeply), 3 internal error (a failed self-check,
+which is a bug).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from .errors import (
     AlphabetMismatchError,
     AutomatonFormatError,
+    CertificationError,
     NullableLoopError,
     ParseError,
     StateLimitError,
@@ -356,6 +359,12 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
+    except CertificationError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,8 +37,14 @@ class Dfa:
     trans: tuple[tuple[int, ...], ...]  # trans[state][letter_index]
     initial: int
     finals: frozenset[int]
-    # presentation metadata, not part of equality
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    # presentation metadata, not part of equality: the state terms of a
+    # derivative automaton, printed only when `labels` is read
+    terms: tuple[RatExpr, ...] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """State terms as expression text, or None for automata without terms."""
+        return None if self.terms is None else tuple(rexp_to_str(e) for e in self.terms)
 
     @property
     def n_states(self) -> int:
@@ -81,7 +87,7 @@ def compile_dfa(t: RatExpr, alphabet: Alphabet | None = None) -> Dfa:
             row.append(index[nxt])
         rows.append(tuple(row))
     finals = frozenset(i for i, e in enumerate(order) if ewp(e))
-    return Dfa(alphabet, tuple(rows), 0, finals, tuple(rexp_to_str(e) for e in order))
+    return Dfa(alphabet, tuple(rows), 0, finals, tuple(order))
 
 
 def _reachable(d: Dfa) -> Dfa:
@@ -98,8 +104,8 @@ def _reachable(d: Dfa) -> Dfa:
                 queue.append(nxt)
     rows = tuple(tuple(seen[d.trans[q][ai]] for ai in range(len(d.alphabet.letters))) for q in order)
     finals = frozenset(seen[q] for q in d.finals if q in seen)
-    labels = tuple(d.labels[q] for q in order) if d.labels else None
-    return Dfa(d.alphabet, rows, 0, finals, labels)
+    terms = tuple(d.terms[q] for q in order) if d.terms else None
+    return Dfa(d.alphabet, rows, 0, finals, terms)
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
@@ -173,7 +179,7 @@ def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
 
 def complement(d: Dfa) -> Dfa:
     finals = frozenset(range(d.n_states)) - d.finals
-    return Dfa(d.alphabet, d.trans, d.initial, finals, d.labels)
+    return Dfa(d.alphabet, d.trans, d.initial, finals, d.terms)
 
 
 def _bfs_word(d: Dfa, accept) -> str | None:
@@ -221,7 +227,7 @@ def equivalent_dfa(d1: Dfa, d2: Dfa) -> tuple[bool, str | None]:
 
 def left_derivative(d: Dfa, a: str) -> Dfa:
     """Accepts {v : a·v in L(d)}: the initial state moves along a."""
-    return Dfa(d.alphabet, d.trans, d.step(d.initial, a), d.finals, d.labels)
+    return Dfa(d.alphabet, d.trans, d.step(d.initial, a), d.finals, d.terms)
 
 
 def right_quotient(d: Dfa, a: str) -> Dfa:
@@ -230,7 +236,7 @@ def right_quotient(d: Dfa, a: str) -> Dfa:
         raise AlphabetMismatchError(f"symbol {a!r} not in alphabet")
     ai = d.alphabet.index(a)
     finals = frozenset(q for q in range(d.n_states) if d.trans[q][ai] in d.finals)
-    return Dfa(d.alphabet, d.trans, d.initial, finals, d.labels)
+    return Dfa(d.alphabet, d.trans, d.initial, finals, d.terms)
 
 
 def root(d: Dfa) -> Dfa:
@@ -341,8 +347,9 @@ def dfa_to_expr(d: Dfa) -> RatExpr:
 def dfa_to_dot(d: Dfa, name: str = "dfa") -> str:
     """DOT rendering with solid edges; finals as double circles."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    labels = d.labels
     for q in range(d.n_states):
-        label = d.labels[q] if d.labels else f"q{q}"
+        label = labels[q] if labels else f"q{q}"
         shape = "doublecircle" if q in d.finals else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{label}"];')
     lines.append(f"  __start -> q{d.initial};")
@@ -362,8 +369,9 @@ def write_dfa(d: Dfa) -> str:
     lines.append(f"states: {' '.join(f'q{i}' for i in range(d.n_states))}")
     lines.append(f"initial: q{d.initial}")
     lines.append(f"final: {' '.join(f'q{i}' for i in sorted(d.finals))}")
-    if d.labels:
-        for i, lab in enumerate(d.labels):
+    labels = d.labels
+    if labels:
+        for i, lab in enumerate(labels):
             lines.append(f"# q{i} = {lab}")
     for p in range(d.n_states):
         for ai, a in enumerate(d.alphabet.letters):

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NullableLoopError, ParseError, StateLimitError
+from .langops import STATE_CAP
 from .lassos import Lasso
 from .ratexp import (
     Alphabet,
@@ -33,8 +34,6 @@ from .ratexp import (
     sum_of,
 )
 from .syntax import RawExpr, parse_raw, raw_to_rexp
-
-STATE_CAP = 100_000
 
 
 class LassoExpr:

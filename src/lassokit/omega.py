@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificationError, NullableLoopError, ParseError
-from .langops import boolean_combine, compile_dfa, dfa_to_expr, is_empty_dfa, root
+from .langops import Dfa, boolean_combine, compile_dfa, dfa_to_expr, is_empty_dfa, root
 from .lassoexp import DisjunctiveForm, compile_lasso, df_letters
 from .lassos import Lasso
 from .ratexp import (
@@ -335,6 +335,14 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     not be (see gamma_fixpoint).
     """
     alphabet = _df_alphabet(df, alphabet)
+    # many split keys share a t1 or an s1; each is compiled once per call
+    dfas: dict[RatExpr, Dfa] = {}
+
+    def dfa_of(e: RatExpr) -> Dfa:
+        if e not in dfas:
+            dfas[e] = compile_dfa(e, alphabet)
+        return dfas[e]
+
     loop_cache: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
     pairs = []
     for t, s in df.pairs:
@@ -342,9 +350,7 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
             for s0, s1 in split(s):
                 key = (t1, s1, s0)
                 if key not in loop_cache:
-                    inter = boolean_combine(
-                        compile_dfa(t1, alphabet), compile_dfa(s1, alphabet), "and"
-                    )
+                    inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
                     empty, _ = is_empty_dfa(inter)
                     if empty:
                         loop_cache[key] = None

@@ -5,6 +5,21 @@ star).  Terms are immutable and hashable, which lets normalized terms
 serve directly as automaton states.  `member_naive` is a deliberately
 derivative-free membership oracle used to cross-check everything built
 on top of `deriv`.
+
+Each term caches three values derived from its fields the first time
+they are asked for: its hash, its `normalize_b` normal form and its
+`structural_key`.  The invariants:
+
+- cached values are derived from the fields alone, so a term and a fresh
+  copy built from the same fields agree on all three;
+- they are never compared, printed or pickled: `==` and `repr` see only
+  the fields, and pickle, `copy` and `deepcopy` rebuild a term from its
+  fields (a hash mixes in per-process `str` hashes and must not travel);
+- a normal form is its own normal form: `normalize_b` records its result
+  on the input and marks the result as normal.
+
+The caches live on the terms, so they are freed with them; there is no
+module-level table.
 """
 
 from __future__ import annotations
@@ -53,40 +68,67 @@ class Alphabet:
 class RatExpr:
     """Base class for rational expression terms."""
 
-    __slots__ = ()
+    # derived values cached after first use; see the module docstring
+    __slots__ = ("_hash", "_nf", "_key")
 
     def __str__(self) -> str:
         return rexp_to_str(self)
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            # the class is part of the hash, so Sum(x, y) and Concat(x, y) differ
+            h = hash((self.__class__, *self._fields()))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # pickle and copy rebuild a term from its fields alone, so no cached
+        # value travels, whatever a Python version's dataclasses do for
+        # frozen slotted classes
+        return (self.__class__, self._fields())
+
+
+def _term(cls):
+    """A frozen, slotted term class: fields compared as by the dataclass,
+    hashed by RatExpr's cached hash instead of the dataclass's uncached one."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = RatExpr.__hash__
+    return cls
+
+
+@_term
 class Zero(RatExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class One(RatExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Letter(RatExpr):
     symbol: str
 
 
-@dataclass(frozen=True)
+@_term
 class Concat(RatExpr):
     left: RatExpr
     right: RatExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Sum(RatExpr):
     left: RatExpr
     right: RatExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Star(RatExpr):
     body: RatExpr
 
@@ -96,21 +138,29 @@ ONE = One()
 
 
 def structural_key(t: RatExpr):
-    """Total order on terms: constructor rank, then children lexicographically."""
+    """Total order on terms: constructor rank, then children lexicographically.
+    Cached on the term."""
+    try:
+        return t._key
+    except AttributeError:
+        pass
     match t:
         case Zero():
-            return (0,)
+            key = (0,)
         case One():
-            return (1,)
+            key = (1,)
         case Letter(c):
-            return (2, c)
+            key = (2, c)
         case Star(x):
-            return (3, structural_key(x))
+            key = (3, structural_key(x))
         case Concat(l, r):
-            return (4, structural_key(l), structural_key(r))
+            key = (4, structural_key(l), structural_key(r))
         case Sum(l, r):
-            return (5, structural_key(l), structural_key(r))
-    raise TypeError(f"not a rational expression: {t!r}")
+            key = (5, structural_key(l), structural_key(r))
+        case _:
+            raise TypeError(f"not a rational expression: {t!r}")
+    object.__setattr__(t, "_key", key)
+    return key
 
 
 def rcat(l: RatExpr, r: RatExpr) -> RatExpr:
@@ -175,29 +225,39 @@ def _flatten_sum(t: RatExpr, acc: list[RatExpr]) -> None:
         acc.append(t)
 
 
+_UNSET = object()
+
+
 def normalize_b(t: RatExpr) -> RatExpr:
     """Canonical representative of t modulo sum-ACI and unit/zero laws.
 
     Sums are flattened, deduplicated, purged of 0 and sorted by the
     structural order; concatenations drop 1-units and collapse on 0.
     Idempotent, language-preserving and compatible with `deriv`/`ewp`
-    (the property suite checks all three).
+    (the property suite checks all three).  The result is cached on t and
+    marked as its own normal form; a star or concatenation whose children
+    are already normal is returned as it is.
     """
+    nf = getattr(t, "_nf", _UNSET)  # most calls are misses, on fresh derivative terms
+    if nf is not _UNSET:
+        return t if nf is None else nf
     match t:
         case Zero() | One() | Letter(_):
-            return t
+            nf = t
         case Star(x):
-            return Star(normalize_b(x))
+            xn = normalize_b(x)
+            nf = t if xn is x else Star(xn)
         case Concat(l, r):
             ln = normalize_b(l)
             rn = normalize_b(r)
             if ln == ZERO or rn == ZERO:
-                return ZERO
-            if ln == ONE:
-                return rn
-            if rn == ONE:
-                return ln
-            return Concat(ln, rn)
+                nf = ZERO
+            elif ln == ONE:
+                nf = rn
+            elif rn == ONE:
+                nf = ln
+            else:
+                nf = t if ln is l and rn is r else Concat(ln, rn)
         case Sum(_, _):
             raw: list[RatExpr] = []
             _flatten_sum(t, raw)
@@ -206,8 +266,14 @@ def normalize_b(t: RatExpr) -> RatExpr:
                 # normalizing a summand may surface a nested sum, e.g. 1·(a+b)
                 _flatten_sum(normalize_b(s), flat)
             parts = sorted(set(flat) - {ZERO}, key=structural_key)
-            return sum_of(parts)
-    raise TypeError(f"not a rational expression: {t!r}")
+            nf = sum_of(parts)
+        case _:
+            raise TypeError(f"not a rational expression: {t!r}")
+    # None marks a term as its own normal form without a reference cycle
+    object.__setattr__(nf, "_nf", None)
+    if nf is not t:
+        object.__setattr__(t, "_nf", nf)
+    return nf
 
 
 def _deriv_raw(t: RatExpr, a: str) -> RatExpr:

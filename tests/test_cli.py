@@ -170,6 +170,24 @@ class TestErrors:
         assert code == 2
         assert "missing d3 row" in err
 
+    def test_deep_nesting_is_exit_2(self, capsys):
+        code, _, err = run(capsys, "member", "--rexp", "a" * 2000, "--word", "a")
+        assert code == 2
+        assert err == "error: expression nested too deeply\n"
+
+    def test_internal_error_is_exit_3(self, capsys, monkeypatch):
+        from lassokit import cli
+        from lassokit.errors import CertificationError
+
+        def failing(args):
+            raise CertificationError("self-check failed")
+
+        monkeypatch.setattr(cli, "cmd_nf", failing)
+        code, out, err = run(capsys, "nf", "a:b")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: self-check failed\n"
+
 
 class TestGoldenAgainstLibrary:
     """CLI output parsed back must equal the library result."""

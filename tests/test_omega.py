@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -30,7 +32,7 @@ from lassokit import (
     to_nba,
     up_member,
 )
-from lassokit.lassoaut import extract_omega_expr
+from lassokit.lassoaut import extract_omega_expr, write_automaton
 from lassokit.ratexp import Letter, ONE
 from lassokit.syntax import parse_rexp
 
@@ -38,6 +40,9 @@ AB = Alphabet(("a", "b"))
 A = Alphabet(("a",))
 
 CORPUS = ["a$", "(ab)$", "a(ba)$", "(a+b)*a$", "(aa)$+b((ab)$)", "b(a+b*)(a$)"]
+# expression -> `write_automaton` text of its pipeline output, recorded
+# before terms cached their hashes, normal forms and sort keys
+PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "pipeline_automata.json").read_text())
 
 
 class TestParse:
@@ -330,3 +335,13 @@ class TestPipeline:
         back = extract_omega_expr(aut)
         for l in enumerate_lassos(alphabet, 4, 4):
             assert up_member(back, l, alphabet) == up_member(T, l, alphabet), (text, l)
+
+    @pytest.mark.parametrize("text", sorted(PINNED))
+    def test_output_pinned_byte_for_byte(self, text):
+        # state order and state labels of the pipeline output are part of
+        # the CLI's output; caching inside the pipeline must not move them
+        alphabet = AB if "b" in text else A
+        assert write_automaton(omega_to_omega_automaton(parse_oexpr(text), alphabet)) == PINNED[text]
+
+    def test_pinned_cover_the_corpus(self):
+        assert set(CORPUS) | {"a(b+ab)$+b(a+bb)$"} == set(PINNED)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from lassokit import (
     split,
     word_deriv,
 )
-from lassokit.ratexp import structural_key, words_up_to
+from lassokit.ratexp import One, RatExpr, Zero, structural_key, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -299,3 +301,87 @@ class TestProperties:
         assert sorted(keys) == sorted(keys, key=lambda k: k)  # comparable without error
         for t, k in zip(terms, keys):
             assert structural_key(t) == k
+
+
+# Terms built from fresh objects, so examples share no cached values.
+terms = st.recursive(
+    st.one_of(st.builds(Zero), st.builds(One), st.builds(Letter, st.sampled_from("ab"))),
+    lambda kids: st.one_of(st.builds(Concat, kids, kids), st.builds(Sum, kids, kids), st.builds(Star, kids)),
+    max_leaves=16,
+)
+
+
+def fresh(t):
+    """A copy of t built anew from its text, holding no cached values."""
+    return parse_rexp(rexp_to_str(t))
+
+
+def subterms(t):
+    """Subterms of t in post-order (children before their parent)."""
+    out = []
+
+    def go(x):
+        for name in x.__match_args__:
+            child = getattr(x, name)
+            if isinstance(child, RatExpr):
+                go(child)
+        out.append(x)
+
+    go(t)
+    return out
+
+
+class TestTermCaches:
+    """Hashes, normal forms and sort keys are cached on the terms; the
+    cached values must agree with fresh computations and never travel."""
+
+    @given(terms, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_normal_form_matches_fresh_copy(self, t, rng):
+        # warm the caches of some subterms first, in a random order
+        parts = subterms(t)
+        rng.shuffle(parts)
+        for x in parts[: len(parts) // 2]:
+            normalize_b(x)
+        nf = normalize_b(t)
+        assert normalize_b(t) is nf
+        assert nf == normalize_b(fresh(t))
+        assert normalize_b(nf) is nf
+        assert normalize_b(fresh(nf)) == nf
+
+    @given(terms, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_terms_hash_equal_whatever_order_built(self, t, rng):
+        bottom_up, shuffled = fresh(t), fresh(t)
+        for x in subterms(bottom_up):
+            hash(x)
+        parts = subterms(shuffled)
+        rng.shuffle(parts)
+        for x in parts:
+            structural_key(x)
+            hash(x)
+        assert bottom_up == shuffled == t
+        assert hash(bottom_up) == hash(shuffled) == hash(t)
+        assert structural_key(bottom_up) == structural_key(shuffled) == structural_key(t)
+
+    def test_constructor_is_part_of_identity(self):
+        x, y = Letter("a"), Letter("b")
+        assert Sum(x, y) != Concat(x, y)
+        assert hash(Sum(x, y)) != hash(Concat(x, y))
+        assert ZERO != ONE
+        assert hash(ZERO) != hash(ONE)
+
+    @given(terms)
+    @settings(max_examples=150, deadline=None)
+    def test_pickle_and_deepcopy_carry_no_cached_values(self, t):
+        before = pickle.dumps(t)
+        normalize_b(t)
+        structural_key(t)
+        table = {t: "entry"}
+        assert pickle.dumps(t) == before
+        for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert clone == t
+            assert hash(clone) == hash(fresh(t)) == hash(t)
+            assert table[clone] == "entry"
+            assert normalize_b(clone) == normalize_b(t)
+            assert repr(clone) == repr(t)
