@@ -177,6 +177,42 @@ def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
 
+def concat_dfa(d1: Dfa, d2: Dfa) -> Dfa:
+    """Automaton for L(d1)·L(d2) by subset construction on reachable states.
+
+    A state is a d1 state together with the set of d2 states entered so
+    far; d2's initial state joins the set whenever the d1 state is final.
+    A state is final when its set meets d2's finals.
+    """
+    if d1.alphabet != d2.alphabet:
+        raise AlphabetMismatchError("concat_dfa requires identical alphabets")
+    na = len(d1.alphabet.letters)
+
+    def enter(p: int, qs: frozenset[int]) -> tuple[int, frozenset[int]]:
+        return (p, qs | {d2.initial}) if p in d1.finals else (p, qs)
+
+    start = enter(d1.initial, frozenset())
+    index = {start: 0}
+    order = [start]
+    queue = deque(order)
+    rows = []
+    while queue:
+        p, qs = queue.popleft()
+        row = []
+        for ai in range(na):
+            nxt = enter(d1.trans[p][ai], frozenset(d2.trans[q][ai] for q in qs))
+            if nxt not in index:
+                if len(index) >= STATE_CAP:
+                    raise StateLimitError(f"concatenation automaton exceeded {STATE_CAP} states")
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    finals = frozenset(i for i, (_, qs) in enumerate(order) if not qs.isdisjoint(d2.finals))
+    return Dfa(d1.alphabet, tuple(rows), 0, finals)
+
+
 def complement(d: Dfa) -> Dfa:
     finals = frozenset(range(d.n_states)) - d.finals
     return Dfa(d.alphabet, d.trans, d.initial, finals, d.terms)
@@ -302,12 +338,19 @@ def dfa_to_expr(d: Dfa) -> RatExpr:
     na = len(d.alphabet.letters)
     init_node, final_node = -1, -2
     edges: dict[tuple[int, int], RatExpr] = {}
+    # neighbours other than the node itself, kept in step with `edges`
+    ins: dict[int, set[int]] = {q: set() for q in range(n)}
+    outs: dict[int, set[int]] = {q: set() for q in range(n)}
+    ins[final_node], outs[init_node] = set(), set()
 
     def add_edge(p: int, q: int, e: RatExpr) -> None:
         if e == ZERO:
             return
         cur = edges.get((p, q), ZERO)
         edges[(p, q)] = normalize_b(rsum(cur, e))
+        if p != q:
+            outs[p].add(q)
+            ins[q].add(p)
 
     for p in range(n):
         for ai in range(na):
@@ -318,21 +361,16 @@ def dfa_to_expr(d: Dfa) -> RatExpr:
 
     remaining = set(range(n))
     while remaining:
-        def cost(s: int) -> tuple[int, int]:
-            ins = sum(1 for (p, q) in edges if q == s and p != s)
-            outs = sum(1 for (p, q) in edges if p == s and q != s)
-            return (ins * outs, s)
-
-        s = min(remaining, key=cost)
+        s = min(remaining, key=lambda s: (len(ins[s]) * len(outs[s]), s))
         remaining.remove(s)
         loop = edges.pop((s, s), ZERO)
         star_loop = rstar(loop) if loop != ZERO else ONE
-        preds = [(p, e) for (p, q), e in edges.items() if q == s]
-        succs = [(q, e) for (p, q), e in edges.items() if p == s]
+        preds = [(p, edges.pop((p, s))) for p in ins.pop(s)]
+        succs = [(q, edges.pop((s, q))) for q in outs.pop(s)]
         for p, _ in preds:
-            edges.pop((p, s))
+            outs[p].discard(s)
         for q, _ in succs:
-            edges.pop((s, q))
+            ins[q].discard(s)
         for p, e_in in preds:
             for q, e_out in succs:
                 add_edge(p, q, rcat(rcat(e_in, star_loop), e_out))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificationError, NullableLoopError, ParseError
-from .langops import Dfa, boolean_combine, compile_dfa, dfa_to_expr, is_empty_dfa, root
+from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, root
 from .lassoexp import DisjunctiveForm, compile_lasso, df_letters
 from .lassos import Lasso
 from .ratexp import (
@@ -326,9 +326,10 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
 
     For each pair (t, s) and each way of splitting t into t0·t1 and s
     into s0·s1, the loop words whose some power lies in (t1 ∩ s1)·s0 are
-    reattached after spoke t0.  Intersection and root are computed on
-    DFAs and converted back to expressions, so the expression grammar
-    stays plain.  Pairs with an empty loop language are dropped.
+    reattached after spoke t0.  The intersection, its concatenation with
+    s0 and the root are all computed on DFAs; only the root is converted
+    back to an expression, so the expression grammar stays plain.  Pairs
+    with an empty loop language are dropped.
 
     Applied to an expansion-closed input (such as h_map output) the
     result is saturated; on arbitrary inputs a single application need
@@ -355,8 +356,7 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
                     if empty:
                         loop_cache[key] = None
                     else:
-                        loop_expr_lang = rcat(dfa_to_expr(inter), s0)
-                        rt = root(compile_dfa(loop_expr_lang, alphabet))
+                        rt = root(concat_dfa(inter, dfa_of(s0)))
                         rt_empty, _ = is_empty_dfa(rt)
                         loop_cache[key] = None if rt_empty else dfa_to_expr(rt)
                 loop = loop_cache[key]

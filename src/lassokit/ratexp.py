@@ -6,12 +6,12 @@ serve directly as automaton states.  `member_naive` is a deliberately
 derivative-free membership oracle used to cross-check everything built
 on top of `deriv`.
 
-Each term caches three values derived from its fields the first time
-they are asked for: its hash, its `normalize_b` normal form and its
-`structural_key`.  The invariants:
+Each term caches four values derived from its fields the first time
+they are asked for: its hash, its `normalize_b` normal form, its
+`structural_key` and its empty word property (`ewp`).  The invariants:
 
 - cached values are derived from the fields alone, so a term and a fresh
-  copy built from the same fields agree on all three;
+  copy built from the same fields agree on all four;
 - they are never compared, printed or pickled: `==` and `repr` see only
   the fields, and pickle, `copy` and `deepcopy` rebuild a term from its
   fields (a hash mixes in per-process `str` hashes and must not travel);
@@ -20,6 +20,15 @@ they are asked for: its hash, its `normalize_b` normal form and its
 
 The caches live on the terms, so they are freed with them; there is no
 module-level table.
+
+Derivatives are built directly in normal form (Owens, Reppy & Turon,
+"Regular-expression derivatives re-examined", 2009).  `deriv` normalizes
+its input, which is free on a normal term, takes the derivatives of the
+children through itself and joins them with two smart constructors: a
+sum that merges the summand sets of normal terms, and a concatenation
+that folds 0 and 1.  The result equals `normalize_b` of the textbook
+derivative term, without building that term, and is marked as its own
+normal form.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ class RatExpr:
     """Base class for rational expression terms."""
 
     # derived values cached after first use; see the module docstring
-    __slots__ = ("_hash", "_nf", "_key")
+    __slots__ = ("_hash", "_nf", "_key", "_ewp")
 
     def __str__(self) -> str:
         return rexp_to_str(self)
@@ -204,17 +213,25 @@ def sum_of(terms: Iterable[RatExpr]) -> RatExpr:
 
 
 def ewp(t: RatExpr) -> bool:
-    """Empty word property: does the language of t contain the empty word?"""
+    """Empty word property: does the language of t contain the empty word?
+    Cached on the term."""
+    try:
+        return t._ewp
+    except AttributeError:
+        pass
     match t:
         case Zero() | Letter(_):
-            return False
+            e = False
         case One() | Star(_):
-            return True
+            e = True
         case Sum(l, r):
-            return ewp(l) or ewp(r)
+            e = ewp(l) or ewp(r)
         case Concat(l, r):
-            return ewp(l) and ewp(r)
-    raise TypeError(f"not a rational expression: {t!r}")
+            e = ewp(l) and ewp(r)
+        case _:
+            raise TypeError(f"not a rational expression: {t!r}")
+    object.__setattr__(t, "_ewp", e)
+    return e
 
 
 def _flatten_sum(t: RatExpr, acc: list[RatExpr]) -> None:
@@ -223,6 +240,22 @@ def _flatten_sum(t: RatExpr, acc: list[RatExpr]) -> None:
         _flatten_sum(t.right, acc)
     else:
         acc.append(t)
+
+
+def _normal(t: RatExpr) -> RatExpr:
+    """Mark t, already in normal form, as its own normal form."""
+    object.__setattr__(t, "_nf", None)
+    return t
+
+
+def _normal_sum(flat: list[RatExpr]) -> RatExpr:
+    """The normal form of the sum of normal, non-sum terms: deduplicated,
+    without 0, sorted by structural_key and nested to the right.  Every
+    node of the chain is marked, since each suffix is normal too."""
+    acc = ZERO
+    for t in sorted(set(flat) - {ZERO}, key=structural_key, reverse=True):
+        acc = t if acc is ZERO else _normal(Sum(t, acc))
+    return acc
 
 
 _UNSET = object()
@@ -265,8 +298,7 @@ def normalize_b(t: RatExpr) -> RatExpr:
             for s in raw:
                 # normalizing a summand may surface a nested sum, e.g. 1·(a+b)
                 _flatten_sum(normalize_b(s), flat)
-            parts = sorted(set(flat) - {ZERO}, key=structural_key)
-            nf = sum_of(parts)
+            nf = _normal_sum(flat)
         case _:
             raise TypeError(f"not a rational expression: {t!r}")
     # None marks a term as its own normal form without a reference cycle
@@ -276,26 +308,37 @@ def normalize_b(t: RatExpr) -> RatExpr:
     return nf
 
 
-def _deriv_raw(t: RatExpr, a: str) -> RatExpr:
-    match t:
-        case Zero() | One():
-            return ZERO
-        case Letter(c):
-            return ONE if c == a else ZERO
-        case Sum(l, r):
-            return Sum(_deriv_raw(l, a), _deriv_raw(r, a))
-        case Concat(l, r):
-            guard = ONE if ewp(l) else ZERO
-            return Sum(Concat(_deriv_raw(l, a), r), Concat(guard, _deriv_raw(r, a)))
-        case Star(x):
-            return Concat(_deriv_raw(x, a), t)
-    raise TypeError(f"not a rational expression: {t!r}")
+def _nsum(l: RatExpr, r: RatExpr) -> RatExpr:
+    """normalize_b(Sum(l, r)) for normal l and r, from their summands."""
+    if l == ZERO:
+        return r
+    if r == ZERO:
+        return l
+    flat: list[RatExpr] = []
+    _flatten_sum(l, flat)
+    _flatten_sum(r, flat)
+    return _normal_sum(flat)
 
 
 @lru_cache(maxsize=None)
 def deriv(t: RatExpr, a: str) -> RatExpr:
     """Left derivative of t by the symbol a, in normalize_b normal form."""
-    return normalize_b(_deriv_raw(t, a))
+    n = normalize_b(t)
+    if n is not t:
+        return deriv(n, a)
+    match n:
+        case Zero() | One():
+            return ZERO
+        case Letter(c):
+            return ONE if c == a else ZERO
+        case Sum(l, r):
+            return _nsum(deriv(l, a), deriv(r, a))
+        case Concat(l, r):
+            head = _normal(rcat(deriv(l, a), r))
+            return _nsum(head, deriv(r, a)) if ewp(l) else head
+        case Star(x):
+            return _normal(rcat(deriv(x, a), n))
+    raise TypeError(f"not a rational expression: {t!r}")
 
 
 def word_deriv(t: RatExpr, u: str) -> RatExpr:

@@ -15,10 +15,12 @@ from lassokit.ratexp import (
     Concat,
     Letter,
     ONE,
+    One,
     RatExpr,
     Star,
     Sum,
     ZERO,
+    Zero,
     ewp,
 )
 
@@ -43,6 +45,27 @@ def random_rexp(rng: random.Random, letters: str = "ab", depth: int = 3) -> RatE
     left = random_rexp(rng, letters, depth - 1)
     right = random_rexp(rng, letters, depth - 1)
     return Concat(left, right) if kind == "concat" else Sum(left, right)
+
+
+def deriv_raw_oracle(t: RatExpr, a: str) -> RatExpr:
+    """Textbook Brzozowski derivative as a raw, unnormalized term.
+
+    `ratexp.deriv` builds its result in normal form instead; the two must
+    agree after `normalize_b`.
+    """
+    match t:
+        case Zero() | One():
+            return ZERO
+        case Letter(c):
+            return ONE if c == a else ZERO
+        case Sum(l, r):
+            return Sum(deriv_raw_oracle(l, a), deriv_raw_oracle(r, a))
+        case Concat(l, r):
+            guard = ONE if ewp(l) else ZERO
+            return Sum(Concat(deriv_raw_oracle(l, a), r), Concat(guard, deriv_raw_oracle(r, a)))
+        case Star(x):
+            return Concat(deriv_raw_oracle(x, a), t)
+    raise TypeError(f"not a rational expression: {t!r}")
 
 
 def random_rexp_no_ewp(rng: random.Random, letters: str = "ab", depth: int = 2) -> RatExpr:

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_rexp
+from lassokit import langops
 from lassokit import (
     Alphabet,
     AlphabetMismatchError,
     ONE,
+    StateLimitError,
     ZERO,
     boolean_combine,
     compile_dfa,
     complement,
+    concat_dfa,
     dfa_to_dot,
     dfa_to_expr,
     enumerate_language,
@@ -24,7 +28,7 @@ from lassokit import (
     root,
     run_dfa,
 )
-from lassokit.ratexp import words_up_to
+from lassokit.ratexp import rcat, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -193,6 +197,39 @@ class TestRoot:
                     continue
                 expected = any(run_dfa(d, u * k) for k in range(1, d.n_states + 1))
                 assert run_dfa(r, u) == expected, (t, u)
+
+
+class TestConcat:
+    def test_a_then_b_star(self):
+        d = concat_dfa(compile_dfa(parse_rexp("a"), AB), compile_dfa(parse_rexp("b*"), AB))
+        assert lang(d, 3) == ["a", "ab", "abb"]
+
+    def test_empty_factor(self):
+        d = concat_dfa(compile_dfa(parse_rexp("a*"), AB), compile_dfa(ZERO, AB))
+        assert is_empty_dfa(d)[0]
+
+    def test_unit_factor(self):
+        d = compile_dfa(parse_rexp("(ab+b)*a"), AB)
+        assert equivalent_dfa(concat_dfa(compile_dfa(ONE, AB), d), d)[0]
+        assert equivalent_dfa(concat_dfa(d, compile_dfa(ONE, AB)), d)[0]
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_compiled_concatenation(self, rng):
+        x, y = random_rexp(rng, "ab", 3), random_rexp(rng, "ab", 3)
+        d = concat_dfa(compile_dfa(x, AB), compile_dfa(y, AB))
+        assert equivalent_dfa(d, compile_dfa(rcat(x, y), AB)) == (True, None)
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(AlphabetMismatchError):
+            concat_dfa(compile_dfa(parse_rexp("a"), A), compile_dfa(parse_rexp("a"), AB))
+
+    def test_state_cap(self, monkeypatch):
+        d = compile_dfa(parse_rexp("(a+b)*a(a+b)(a+b)"), AB)
+        assert concat_dfa(d, d).n_states > 4
+        monkeypatch.setattr(langops, "STATE_CAP", 4)
+        with pytest.raises(StateLimitError):
+            concat_dfa(d, d)
 
 
 class TestToExpr:

@@ -3,8 +3,9 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import gamma_class_upto, random_lexp, random_oexp, rexp_size
+from helpers import gamma_class_upto, random_lexp, random_oexp, random_rexp, rexp_size
 from lassokit import (
     Alphabet,
     DisjunctiveForm,
@@ -32,8 +33,9 @@ from lassokit import (
     to_nba,
     up_member,
 )
+from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, root
 from lassokit.lassoaut import extract_omega_expr, write_automaton
-from lassokit.ratexp import Letter, ONE
+from lassokit.ratexp import Letter, ONE, rcat, split
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -221,6 +223,26 @@ class TestGammaMap:
                     # every new lasso denotes a word already denoted
                     cls = gamma_class_upto(l, 9, 9)
                     assert any(df_member(tau, c) for c in cls), (tau, l)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_loop_language_matches_expression_round_trip(self, rng):
+        # gamma_map concatenates the DFAs of t1 ∩ s1 and s0; the root must be
+        # the same Dfa as through the expression of t1 ∩ s1 followed by s0
+        t, s = random_rexp(rng, "ab", 3), random_rexp(rng, "ab", 3)
+        keys = [(t1, s0, s1) for _, t1 in split(t) for s0, s1 in split(s)]
+        rng.shuffle(keys)
+        checked = 0
+        for t1, s0, s1 in keys:
+            inter = boolean_combine(compile_dfa(t1, AB), compile_dfa(s1, AB), "and")
+            if is_empty_dfa(inter)[0]:
+                continue
+            new = root(concat_dfa(inter, compile_dfa(s0, AB)))
+            old = root(compile_dfa(rcat(dfa_to_expr(inter), s0), AB))
+            assert (new.trans, new.initial, new.finals) == (old.trans, old.initial, old.finals)
+            checked += 1
+            if checked == 3:
+                break
 
     def test_connection_forward(self):
         # membership in gamma comes from shifted/powered membership in tau

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_rexp
+from helpers import deriv_raw_oracle, random_rexp
 from lassokit import (
     Alphabet,
     Concat,
@@ -241,6 +241,16 @@ class TestProperties:
             for a in "ab":
                 assert normalize_b(deriv(t, a)) == normalize_b(deriv(t2, a))
 
+    @given(st.randoms(use_true_random=False), st.sampled_from("ab"))
+    @settings(max_examples=300, deadline=None)
+    def test_deriv_is_normalized_raw_derivative(self, rng, a):
+        # deriv builds its result in normal form; the textbook derivative
+        # term, normalized afterwards, must come out the same
+        t = random_rexp(rng, "ab", rng.randint(1, 5))
+        d = deriv(t, a)
+        assert d == normalize_b(deriv_raw_oracle(t, a))
+        assert normalize_b(d) is d
+
     def test_derivative_closure_finite(self):
         # compile_dfa enforces the hard state cap; it must terminate
         from lassokit import compile_dfa
@@ -373,10 +383,21 @@ class TestTermCaches:
 
     @given(terms)
     @settings(max_examples=150, deadline=None)
+    def test_cached_ewp_matches_fresh_copies(self, t):
+        cached = ewp(t)
+        assert ewp(t) is cached
+        for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert not hasattr(clone, "_ewp")
+            assert ewp(clone) is cached
+        assert ewp(fresh(t)) is cached
+
+    @given(terms)
+    @settings(max_examples=150, deadline=None)
     def test_pickle_and_deepcopy_carry_no_cached_values(self, t):
         before = pickle.dumps(t)
         normalize_b(t)
         structural_key(t)
+        ewp(t)
         table = {t: "entry"}
         assert pickle.dumps(t) == before
         for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
