@@ -49,6 +49,7 @@ from .omega import (
 )
 from .ratexp import (
     Alphabet,
+    alphabet_of,
     enumerate_language,
     letters_of,
     member_naive,
@@ -65,7 +66,7 @@ def _word_literal(w: str) -> str:
 def _resolve_alphabet(explicit: str | None, letters: set[str], warn: bool = False) -> Alphabet:
     if explicit is not None:
         return Alphabet.parse(explicit)
-    alphabet = Alphabet(tuple(sorted(letters))) if letters else Alphabet(("a",))
+    alphabet = alphabet_of(letters)
     if warn:
         print(
             f"note: alphabet inferred as {''.join(alphabet.letters)!r} "

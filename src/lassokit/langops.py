@@ -51,8 +51,6 @@ class Dfa:
         return len(self.trans)
 
     def step(self, q: int, a: str) -> int:
-        if a not in self.alphabet:
-            raise AlphabetMismatchError(f"symbol {a!r} not in alphabet {''.join(self.alphabet.letters)!r}")
         return self.trans[q][self.alphabet.index(a)]
 
 
@@ -268,8 +266,6 @@ def left_derivative(d: Dfa, a: str) -> Dfa:
 
 def right_quotient(d: Dfa, a: str) -> Dfa:
     """Accepts {v : v·a in L(d)}: states one a-step away from a final become final."""
-    if a not in d.alphabet:
-        raise AlphabetMismatchError(f"symbol {a!r} not in alphabet")
     ai = d.alphabet.index(a)
     finals = frozenset(q for q in range(d.n_states) if d.trans[q][ai] in d.finals)
     return Dfa(d.alphabet, d.trans, d.initial, finals, d.terms)

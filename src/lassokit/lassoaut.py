@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import AlphabetMismatchError, AutomatonFormatError
 from .langops import (
@@ -24,9 +25,9 @@ from .langops import (
     right_quotient,
     root,
 )
-from .lassoexp import Circle, LassoExpr, LZERO, lprefix, lsum
+from .lassoexp import Circle, LassoExpr, OmegaExpr, OmegaPower, TailedExpr, Terminal, prefixed_sum
 from .lassos import Lasso
-from .ratexp import Alphabet, ewp
+from .ratexp import Alphabet, RatExpr, ewp
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,14 @@ class LassoAutomaton:
     def n_loop(self) -> int:
         return len(self.d3)
 
-    def _ai(self, a: str) -> int:
-        if a not in self.alphabet:
-            raise AlphabetMismatchError(f"symbol {a!r} not in alphabet {''.join(self.alphabet.letters)!r}")
-        return self.alphabet.index(a)
-
 
 def accepts(aut: LassoAutomaton, l: Lasso) -> bool:
     x = aut.initial
     for a in l.spoke:
-        x = aut.d1[x][aut._ai(a)]
-    y = aut.d2[x][aut._ai(l.loop[0])]
+        x = aut.d1[x][aut.alphabet.index(a)]
+    y = aut.d2[x][aut.alphabet.index(l.loop[0])]
     for a in l.loop[1:]:
-        y = aut.d3[y][aut._ai(a)]
+        y = aut.d3[y][aut.alphabet.index(a)]
     return y in aut.finals
 
 
@@ -85,14 +81,6 @@ def spoke_lang_dfa(aut: LassoAutomaton, x: int) -> Dfa:
     return Dfa(aut.alphabet, aut.d1, aut.initial, frozenset({x}))
 
 
-def _spoke_return_dfa(aut: LassoAutomaton, x: int) -> Dfa:
-    return Dfa(aut.alphabet, aut.d1, x, frozenset({x}))
-
-
-def _loop_return_dfa(aut: LassoAutomaton, y: int) -> Dfa:
-    return Dfa(aut.alphabet, aut.d3, y, frozenset({y}))
-
-
 def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
     """Shortest access word per reachable spoke state (alphabet-order BFS)."""
     words = {aut.initial: ""}
@@ -107,19 +95,16 @@ def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
     return words
 
 
-def extract_expr(aut: LassoAutomaton) -> LassoExpr:
-    """Lasso expression for the accepted language.
-
-    Sums, over reachable spoke states x and final loop states y, the
-    access language of x prefixed onto the loop languages that switch
-    from x into y.  Empty summands are dropped.
-    """
-    terms: list[LassoExpr] = []
+def _extract(aut: LassoAutomaton, terminal: type[Terminal], loop_lang: Callable[[int, int], Dfa]) -> TailedExpr:
+    """Sum, over reachable spoke states x (in access-word order) and final
+    loop states y, of the access language of x prefixed onto
+    terminal(loop_lang(x, y)).  Empty loop languages are dropped."""
+    terms: list[tuple[RatExpr, RatExpr]] = []
     access = _spoke_access_words(aut)
     for x in sorted(access, key=lambda x: (len(access[x]), access[x])):
         s_expr = None
         for y in sorted(aut.finals):
-            r_dfa = loop_dfa(aut, x, frozenset({y}))
+            r_dfa = loop_lang(x, y)
             empty, _ = is_empty_dfa(r_dfa)
             if empty:
                 continue
@@ -127,14 +112,20 @@ def extract_expr(aut: LassoAutomaton) -> LassoExpr:
                 s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
             r_expr = dfa_to_expr(r_dfa)
             assert not ewp(r_expr), "loop language contained the empty word"
-            terms.append(lprefix(s_expr, Circle(r_expr)))
-    out: LassoExpr = LZERO
-    for t in reversed(terms):
-        out = lsum(t, out)
-    return out
+            terms.append((s_expr, r_expr))
+    return prefixed_sum(terminal, terms)
 
 
-def extract_omega_expr(aut: LassoAutomaton):
+def extract_expr(aut: LassoAutomaton) -> LassoExpr:
+    """Lasso expression for the accepted language.
+
+    The loop language of spoke state x and final loop state y is the set
+    of loop words that switch from x into y.
+    """
+    return _extract(aut, Circle, lambda x, y: loop_dfa(aut, x, frozenset({y})))
+
+
+def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
     """Omega expression for the omega language of a saturated automaton.
 
     For each reachable spoke state x and final loop state y the loop
@@ -142,36 +133,20 @@ def extract_omega_expr(aut: LassoAutomaton):
     along the spoke, words switching from x into y, and words returning
     y to y along the loop.  Raises if the automaton is not saturated.
     """
-    from .omega import OmegaExpr, OmegaPower, OZERO, oprefix, osum
-
     sat, pair = is_saturated(aut)
     if not sat:
         raise ValueError(
             f"automaton is not saturated (e.g. {pair[0]} accepted but {pair[1]} rejected); "
             "omega extraction requires saturation"
         )
-    terms: list[OmegaExpr] = []
-    access = _spoke_access_words(aut)
-    for x in sorted(access, key=lambda x: (len(access[x]), access[x])):
-        s_expr = None
-        for y in sorted(aut.finals):
-            r_dfa = boolean_combine(
-                boolean_combine(_spoke_return_dfa(aut, x), loop_dfa(aut, x, frozenset({y})), "and"),
-                _loop_return_dfa(aut, y),
-                "and",
-            )
-            empty, _ = is_empty_dfa(r_dfa)
-            if empty:
-                continue
-            if s_expr is None:
-                s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
-            r_expr = dfa_to_expr(r_dfa)
-            assert not ewp(r_expr), "loop language contained the empty word"
-            terms.append(oprefix(s_expr, OmegaPower(r_expr)))
-    out = OZERO
-    for t in reversed(terms):
-        out = osum(t, out)
-    return out
+
+    def loop_lang(x: int, y: int) -> Dfa:
+        spoke_return = Dfa(aut.alphabet, aut.d1, x, frozenset({x}))
+        loop_return = Dfa(aut.alphabet, aut.d3, y, frozenset({y}))
+        switch = loop_dfa(aut, x, frozenset({y}))
+        return boolean_combine(boolean_combine(spoke_return, switch, "and"), loop_return, "and")
+
+    return _extract(aut, OmegaPower, loop_lang)
 
 
 def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lasso | None]:

@@ -1,9 +1,22 @@
-"""Rational lasso expressions and their compilation to lasso automata.
+"""Tailed expressions, and the compilation of lasso expressions to lasso
+automata.
 
-A lasso expression denotes a set of lassos: `r@` denotes the lassos with
-empty spoke and loop in the language of r (r must not accept the empty
-word), `t·ρ` extends spokes on the left, and `+` is union.  Every lasso
-expression flattens to a disjunctive form, a finite set of
+Rational lasso expressions and omega expressions share one grammar: a
+sum of rational prefixes `t·ρ`, each branch ending in 0 or in a terminal
+whose body must not accept the empty word.  Only the terminal differs:
+`r@` denotes the lassos with empty spoke and loop in the language of r,
+`r$` the omega power of r.  The tree, its conversion from the parser's
+raw tree, printer, letter collector, smart constructors and flattening
+fold are shared.
+
+The kind of an expression is its base class, `LassoExpr` or
+`OmegaExpr`.  Each kind has its own thin node subclasses, so expressions
+of two kinds never compare equal, and the functions that give an
+expression its meaning (`member_lasso_naive` and `disjunctive_form`
+here, `h_map` and `to_nba` in `omega`) reject the other kind with a
+TypeError.
+
+Every lasso expression flattens to a disjunctive form, a finite set of
 (spoke expression, loop expression) pairs; disjunctive forms are the
 spoke states of the compiled automaton.
 """
@@ -12,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import NullableLoopError, ParseError, StateLimitError
 from .langops import STATE_CAP
@@ -21,6 +35,7 @@ from .ratexp import (
     ONE,
     RatExpr,
     ZERO,
+    alphabet_of,
     deriv,
     ewp,
     letters_of,
@@ -36,108 +51,204 @@ from .ratexp import (
 from .syntax import RawExpr, parse_raw, raw_to_rexp
 
 
-class LassoExpr:
+class TailedExpr:
+    """Base of both expression kinds.
+
+    A kind's base class names it in error messages (`noun`) and holds its
+    zero and its terminal, prefix and sum classes, so that code written
+    once for both kinds can build nodes of the kind it is given.
+    """
+
     __slots__ = ()
+    noun: ClassVar[str]
+    zero: ClassVar[TailedExpr]
+    terminal: ClassVar[type[Terminal]]
+    prefix: ClassVar[type[TailPrefix]]
+    sum: ClassVar[type[TailSum]]
 
     def __str__(self) -> str:
-        return lexp_to_str(self)
+        return tailed_to_str(self)
 
 
 @dataclass(frozen=True)
-class LZero(LassoExpr):
+class TailZero(TailedExpr):
     pass
 
 
 @dataclass(frozen=True)
-class Circle(LassoExpr):
+class Terminal(TailedExpr):
+    """A terminal loop: the postfix `mark` applied to a body without the
+    empty word; `tag` is the parser's name for the operator."""
+
     body: RatExpr
+    mark: ClassVar[str]
+    tag: ClassVar[str]
+    body_noun: ClassVar[str]
 
     def __post_init__(self):
         if ewp(self.body):
             raise NullableLoopError(
-                f"'@' requires a loop without the empty word, got {rexp_to_str(self.body)!r}"
+                f"{self.mark!r} requires {self.body_noun} without the empty word, got {rexp_to_str(self.body)!r}"
             )
 
 
 @dataclass(frozen=True)
-class Prefix(LassoExpr):
+class TailPrefix(TailedExpr):
     head: RatExpr
-    tail: LassoExpr
+    tail: TailedExpr
 
 
 @dataclass(frozen=True)
-class LSum(LassoExpr):
-    left: LassoExpr
-    right: LassoExpr
+class TailSum(TailedExpr):
+    left: TailedExpr
+    right: TailedExpr
+
+
+class LassoExpr(TailedExpr):
+    __slots__ = ()
+    noun = "a lasso expression"
+
+
+@dataclass(frozen=True)
+class LZero(TailZero, LassoExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class Circle(Terminal, LassoExpr):
+    mark, tag, body_noun = "@", "circle", "a loop"
+
+
+@dataclass(frozen=True)
+class Prefix(TailPrefix, LassoExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class LSum(TailSum, LassoExpr):
+    pass
+
+
+class OmegaExpr(TailedExpr):
+    __slots__ = ()
+    noun = "an omega expression"
+
+
+@dataclass(frozen=True)
+class OZero(TailZero, OmegaExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class OmegaPower(Terminal, OmegaExpr):
+    mark, tag, body_noun = "$", "omega", "a body"
+
+
+@dataclass(frozen=True)
+class OPrefix(TailPrefix, OmegaExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class OSum(TailSum, OmegaExpr):
+    pass
 
 
 LZERO = LZero()
+OZERO = OZero()
+LassoExpr.zero, LassoExpr.terminal, LassoExpr.prefix, LassoExpr.sum = LZERO, Circle, Prefix, LSum
+OmegaExpr.zero, OmegaExpr.terminal, OmegaExpr.prefix, OmegaExpr.sum = OZERO, OmegaPower, OPrefix, OSum
 
 
-def lprefix(t: RatExpr, rho: LassoExpr) -> LassoExpr:
+def tprefix(t: RatExpr, rho: TailedExpr) -> TailedExpr:
     """Prefixing with unit/zero folding."""
-    if t == ZERO or rho == LZERO:
-        return LZERO
+    if t == ZERO or isinstance(rho, TailZero):
+        return rho.zero
     if t == ONE:
         return rho
-    return Prefix(t, rho)
+    return rho.prefix(t, rho)
 
 
-def lsum(l: LassoExpr, r: LassoExpr) -> LassoExpr:
-    if l == LZERO:
+def tsum(l: TailedExpr, r: TailedExpr) -> TailedExpr:
+    if isinstance(l, TailZero):
         return r
-    if r == LZERO:
+    if isinstance(r, TailZero):
         return l
-    return LSum(l, r)
+    return l.sum(l, r)
 
 
-def _raw_to_lexp(raw: RawExpr) -> LassoExpr:
+def prefixed_sum(terminal: type[Terminal], pairs: Sequence[tuple[RatExpr, RatExpr]]) -> TailedExpr:
+    """Right-nested sum of the terms t·terminal(s) over the (t, s) pairs, in
+    order, with unit/zero folding; 0 when there are no pairs."""
+    out = terminal.zero
+    for t, s in reversed(pairs):
+        out = tsum(tprefix(t, terminal(s)), out)
+    return out
+
+
+def raw_to_tailed(raw: RawExpr, kind: type[TailedExpr]) -> TailedExpr:
     match raw:
         case ("zero",):
-            return LZERO
+            return kind.zero
         case ("sum", l, r):
-            return LSum(_raw_to_lexp(l), _raw_to_lexp(r))
+            return kind.sum(raw_to_tailed(l, kind), raw_to_tailed(r, kind))
         case ("cat", l, r):
-            return Prefix(raw_to_rexp(l), _raw_to_lexp(r))
-        case ("circle", x):
-            return Circle(raw_to_rexp(x))
-    raise ParseError("expected a lasso expression; every branch must end in '@' or 0")
+            return kind.prefix(raw_to_rexp(l), raw_to_tailed(r, kind))
+        case (tag, x) if tag == kind.terminal.tag:
+            return kind.terminal(raw_to_rexp(x))
+    raise ParseError(f"expected {kind.noun}; every branch must end in {kind.terminal.mark!r} or 0")
+
+
+def parse_tailed(text: str, kind: type[TailedExpr], alphabet: Alphabet | None = None) -> TailedExpr:
+    """Parse an expression of the given kind; only its terminal operator is allowed."""
+    return raw_to_tailed(parse_raw(text, frozenset({kind.terminal.tag}), alphabet), kind)
 
 
 def parse_lexp(text: str, alphabet: Alphabet | None = None) -> LassoExpr:
     """Parse a lasso expression (grammar with postfix '@')."""
-    return _raw_to_lexp(parse_raw(text, frozenset({"circle"}), alphabet))
+    return parse_tailed(text, LassoExpr, alphabet)
 
 
-def lexp_to_str(rho: LassoExpr) -> str:
-    def go(rho: LassoExpr, level: int) -> str:
+def parse_oexpr(text: str, alphabet: Alphabet | None = None) -> OmegaExpr:
+    """Parse an omega expression (grammar with postfix '$')."""
+    return parse_tailed(text, OmegaExpr, alphabet)
+
+
+def tailed_to_str(rho: TailedExpr) -> str:
+    def go(rho: TailedExpr, level: int) -> str:
         match rho:
-            case LZero():
+            case TailZero():
                 return "0"
-            case Circle(r):
-                return render_rexp(r, 3) + "@"
-            case Prefix(t, tail):
+            case Terminal(r):
+                return render_rexp(r, 3) + rho.mark
+            case TailPrefix(t, tail):
                 s = render_rexp(t, 2) + go(tail, 1)
                 return f"({s})" if level > 1 else s
-            case LSum(l, r):
+            case TailSum(l, r):
                 s = go(l, 1) + "+" + go(r, 0)
                 return f"({s})" if level > 0 else s
-        raise TypeError(f"not a lasso expression: {rho!r}")
+        raise TypeError(f"not a lasso or omega expression: {rho!r}")
 
     return go(rho, 0)
 
 
-def lexp_letters(rho: LassoExpr) -> set[str]:
+def tailed_letters(rho: TailedExpr) -> set[str]:
     match rho:
-        case LZero():
+        case TailZero():
             return set()
-        case Circle(r):
+        case Terminal(r):
             return letters_of(r)
-        case Prefix(t, tail):
-            return letters_of(t) | lexp_letters(tail)
-        case LSum(l, r):
-            return lexp_letters(l) | lexp_letters(r)
-    raise TypeError(f"not a lasso expression: {rho!r}")
+        case TailPrefix(t, tail):
+            return letters_of(t) | tailed_letters(tail)
+        case TailSum(l, r):
+            return tailed_letters(l) | tailed_letters(r)
+    raise TypeError(f"not a lasso or omega expression: {rho!r}")
+
+
+lprefix = oprefix = tprefix
+lsum = osum = tsum
+lexp_to_str = oexp_to_str = tailed_to_str
+lexp_letters = oexp_letters = tailed_letters
 
 
 def member_lasso_naive(rho: LassoExpr, l: Lasso) -> bool:
@@ -210,25 +321,33 @@ def df_member(df: DisjunctiveForm, l: Lasso) -> bool:
 
 
 def df_to_lexp(df: DisjunctiveForm) -> LassoExpr:
-    out: LassoExpr = LZERO
-    for t, s in reversed(df.pairs):
-        out = lsum(lprefix(t, Circle(s)), out)
-    return out
+    return prefixed_sum(Circle, df.pairs)
+
+
+def flatten(
+    rho: TailedExpr, kind: type[TailedExpr], terminal_pairs: Callable[[RatExpr], Iterable[tuple[RatExpr, RatExpr]]]
+) -> DisjunctiveForm:
+    """Fold the prefix/sum structure of an expression of the given kind into
+    a disjunctive form: sums join their pairs, a prefix t turns each pair
+    (ti, si) into (t·ti, si), and a terminal with body r contributes the
+    pairs terminal_pairs(r).  Raises TypeError on any other kind."""
+    if isinstance(rho, kind):
+        match rho:
+            case TailZero():
+                return DisjunctiveForm(())
+            case Terminal(r):
+                return DisjunctiveForm(tuple(terminal_pairs(r)))
+            case TailPrefix(t, tail):
+                inner = flatten(tail, kind, terminal_pairs)
+                return DisjunctiveForm(tuple((rcat(t, ti), si) for ti, si in inner.pairs))
+            case TailSum(l, r):
+                return DisjunctiveForm(flatten(l, kind, terminal_pairs).pairs + flatten(r, kind, terminal_pairs).pairs)
+    raise TypeError(f"not {kind.noun}: {rho!r}")
 
 
 def disjunctive_form(rho: LassoExpr) -> DisjunctiveForm:
     """Flatten to a sum of (spoke, loop) pairs; semantics-preserving."""
-    match rho:
-        case LZero():
-            return DisjunctiveForm(())
-        case Circle(r):
-            return DisjunctiveForm(((ONE, r),))
-        case Prefix(t, tail):
-            inner = disjunctive_form(tail)
-            return DisjunctiveForm(tuple((rcat(t, ti), si) for ti, si in inner.pairs))
-        case LSum(l, r):
-            return DisjunctiveForm(disjunctive_form(l).pairs + disjunctive_form(r).pairs)
-    raise TypeError(f"not a lasso expression: {rho!r}")
+    return flatten(rho, LassoExpr, lambda r: ((ONE, r),))
 
 
 def d1_general(rho: LassoExpr, a: str) -> LassoExpr:
@@ -282,8 +401,7 @@ def compile_lasso(rho: LassoExpr | DisjunctiveForm, alphabet: Alphabet | None = 
 
     df0 = rho if isinstance(rho, DisjunctiveForm) else disjunctive_form(rho)
     if alphabet is None:
-        letters = df_letters(df0) if isinstance(rho, DisjunctiveForm) else lexp_letters(rho)
-        alphabet = Alphabet(tuple(sorted(letters))) if letters else Alphabet(("a",))
+        alphabet = alphabet_of(df_letters(df0) if isinstance(rho, DisjunctiveForm) else lexp_letters(rho))
 
     spoke_index: dict[DisjunctiveForm, int] = {df0: 0}
     spoke_order = [df0]

@@ -1,5 +1,7 @@
-"""Omega expressions, the Buchi membership oracle, and the pipeline that
-turns an omega expression into a finite saturated lasso automaton.
+"""The Buchi membership oracle for omega expressions, and the pipeline
+that turns an omega expression into a finite saturated lasso automaton.
+The omega expression tree itself (`OmegaExpr`, `parse_oexpr`,
+`oexp_to_str`, ...) is the tailed-expression tree of `lassoexp`.
 
 The pipeline has two stages.  `h_map` translates an omega expression
 into a disjunctive form whose lassos denote exactly the ultimately
@@ -19,135 +21,33 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CertificationError, NullableLoopError, ParseError
+from .errors import CertificationError
 from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, root
-from .lassoexp import DisjunctiveForm, compile_lasso, df_letters
-from .lassos import Lasso
-from .ratexp import (
-    Alphabet,
-    ONE,
-    RatExpr,
-    ZERO,
-    ewp,
-    letters_of,
-    normalize_b,
-    rcat,
-    render_rexp,
-    rexp_to_str,
-    rstar,
-    split,
+# the omega expression tree is lassoexp's tailed-expression tree; its
+# public names are re-exported here
+from .lassoexp import (
+    DisjunctiveForm,
+    OmegaExpr,
+    OmegaPower,
+    OPrefix,
+    OSum,
+    OZERO,
+    OZero,
+    compile_lasso,
+    df_letters,
+    flatten,
+    oexp_letters,
+    oexp_to_str,
+    oprefix,
+    osum,
+    parse_oexpr,
 )
-from .syntax import RawExpr, parse_raw, raw_to_rexp
-
-
-class OmegaExpr:
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return oexp_to_str(self)
-
-
-@dataclass(frozen=True)
-class OZero(OmegaExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class OmegaPower(OmegaExpr):
-    body: RatExpr
-
-    def __post_init__(self):
-        if ewp(self.body):
-            raise NullableLoopError(
-                f"'$' requires a body without the empty word, got {rexp_to_str(self.body)!r}"
-            )
-
-
-@dataclass(frozen=True)
-class OPrefix(OmegaExpr):
-    head: RatExpr
-    tail: OmegaExpr
-
-
-@dataclass(frozen=True)
-class OSum(OmegaExpr):
-    left: OmegaExpr
-    right: OmegaExpr
-
-
-OZERO = OZero()
-
-
-def oprefix(t: RatExpr, T: OmegaExpr) -> OmegaExpr:
-    if t == ZERO or T == OZERO:
-        return OZERO
-    if t == ONE:
-        return T
-    return OPrefix(t, T)
-
-
-def osum(l: OmegaExpr, r: OmegaExpr) -> OmegaExpr:
-    if l == OZERO:
-        return r
-    if r == OZERO:
-        return l
-    return OSum(l, r)
-
-
-def _raw_to_oexp(raw: RawExpr) -> OmegaExpr:
-    match raw:
-        case ("zero",):
-            return OZERO
-        case ("sum", l, r):
-            return OSum(_raw_to_oexp(l), _raw_to_oexp(r))
-        case ("cat", l, r):
-            return OPrefix(raw_to_rexp(l), _raw_to_oexp(r))
-        case ("omega", x):
-            return OmegaPower(raw_to_rexp(x))
-    raise ParseError("expected an omega expression; every branch must end in '$' or 0")
-
-
-def parse_oexpr(text: str, alphabet: Alphabet | None = None) -> OmegaExpr:
-    """Parse an omega expression (grammar with postfix '$')."""
-    return _raw_to_oexp(parse_raw(text, frozenset({"omega"}), alphabet))
-
-
-def oexp_to_str(T: OmegaExpr) -> str:
-    def go(T: OmegaExpr, level: int) -> str:
-        match T:
-            case OZero():
-                return "0"
-            case OmegaPower(r):
-                return render_rexp(r, 3) + "$"
-            case OPrefix(t, tail):
-                s = render_rexp(t, 2) + go(tail, 1)
-                return f"({s})" if level > 1 else s
-            case OSum(l, r):
-                s = go(l, 1) + "+" + go(r, 0)
-                return f"({s})" if level > 0 else s
-        raise TypeError(f"not an omega expression: {T!r}")
-
-    return go(T, 0)
-
-
-def oexp_letters(T: OmegaExpr) -> set[str]:
-    match T:
-        case OZero():
-            return set()
-        case OmegaPower(r):
-            return letters_of(r)
-        case OPrefix(t, tail):
-            return letters_of(t) | oexp_letters(tail)
-        case OSum(l, r):
-            return oexp_letters(l) | oexp_letters(r)
-    raise TypeError(f"not an omega expression: {T!r}")
+from .lassos import Lasso
+from .ratexp import Alphabet, RatExpr, alphabet_of, ewp, normalize_b, rcat, rstar, split
 
 
 def _oexp_alphabet(T: OmegaExpr, alphabet: Alphabet | None) -> Alphabet:
-    if alphabet is not None:
-        return alphabet
-    letters = oexp_letters(T)
-    return Alphabet(tuple(sorted(letters))) if letters else Alphabet(("a",))
+    return alphabet_of(oexp_letters(T)) if alphabet is None else alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -295,30 +195,13 @@ def h_map(T: OmegaExpr) -> DisjunctiveForm:
     the pair (t*·t0, t1·t*·t0): rotating any prefix of the loop into the
     spoke and raising the loop to powers stays inside the set.
     """
-    match T:
-        case OZero():
-            return DisjunctiveForm(())
-        case OmegaPower(r):
-            star = rstar(r)
-            pairs = []
-            for t0, t1 in split(r):
-                spoke = rcat(star, t0)
-                loop = normalize_b(rcat(t1, rcat(star, t0)))
-                pairs.append((spoke, loop))
-            return DisjunctiveForm(tuple(pairs))
-        case OSum(l, r):
-            return DisjunctiveForm(h_map(l).pairs + h_map(r).pairs)
-        case OPrefix(t, tail):
-            inner = h_map(tail)
-            return DisjunctiveForm(tuple((rcat(t, ti), si) for ti, si in inner.pairs))
-    raise TypeError(f"not an omega expression: {T!r}")
 
+    def power_pairs(r: RatExpr):
+        star = rstar(r)
+        for t0, t1 in split(r):
+            yield rcat(star, t0), normalize_b(rcat(t1, rcat(star, t0)))
 
-def _df_alphabet(df: DisjunctiveForm, alphabet: Alphabet | None) -> Alphabet:
-    if alphabet is not None:
-        return alphabet
-    letters = df_letters(df)
-    return Alphabet(tuple(sorted(letters))) if letters else Alphabet(("a",))
+    return flatten(T, OmegaExpr, power_pairs)
 
 
 def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> DisjunctiveForm:
@@ -335,7 +218,8 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     result is saturated; on arbitrary inputs a single application need
     not be (see gamma_fixpoint).
     """
-    alphabet = _df_alphabet(df, alphabet)
+    if alphabet is None:
+        alphabet = alphabet_of(df_letters(df))
     # many split keys share a t1 or an s1; each is compiled once per call
     dfas: dict[RatExpr, Dfa] = {}
 
@@ -347,8 +231,9 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     loop_cache: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
     pairs = []
     for t, s in df.pairs:
+        s_splits = split(s)
         for t0, t1 in split(t):
-            for s0, s1 in split(s):
+            for s0, s1 in s_splits:
                 key = (t1, s1, s0)
                 if key not in loop_cache:
                     inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")

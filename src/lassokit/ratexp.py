@@ -33,10 +33,12 @@ normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
+
+from .errors import AlphabetMismatchError
 
 
 @dataclass(frozen=True)
@@ -45,17 +47,20 @@ class Alphabet:
     for a run and drives every tie-break (BFS, witness words, sorting)."""
 
     letters: tuple[str, ...]
+    # letter -> position, derived from `letters`; not part of equality or hash
+    _index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.letters:
             raise ValueError("alphabet must be nonempty")
-        seen = set()
+        index: dict[str, int] = {}
         for c in self.letters:
             if len(c) != 1 or not ("a" <= c <= "z"):
                 raise ValueError(f"alphabet symbols must be single letters a-z, got {c!r}")
-            if c in seen:
+            if c in index:
                 raise ValueError(f"duplicate alphabet symbol {c!r}")
-            seen.add(c)
+            index[c] = len(index)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def parse(cls, text: str) -> "Alphabet":
@@ -65,13 +70,25 @@ class Alphabet:
         return iter(self.letters)
 
     def __contains__(self, c: str) -> bool:
-        return c in self.letters
+        return c in self._index
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def index(self, c: str) -> int:
-        return self.letters.index(c)
+        try:
+            return self._index[c]
+        except KeyError:
+            raise AlphabetMismatchError(f"symbol {c!r} not in alphabet {''.join(self.letters)!r}") from None
+
+
+def alphabet_of(letters: set[str]) -> Alphabet:
+    """The given letters in a-z order.
+
+    A letter-free input (plain 0 or 1) gets the one-letter alphabet `a`,
+    so that complement-style constructions stay well-defined.
+    """
+    return Alphabet(tuple(sorted(letters or {"a"})))
 
 
 class RatExpr:
@@ -427,18 +444,9 @@ def letters_of(t: RatExpr) -> set[str]:
             return set()
 
 
-def infer_alphabet(*terms: RatExpr, fallback: str = "a") -> Alphabet:
-    """Alphabet of all letters occurring in the terms, in a-z order.
-
-    Letter-free inputs (plain 0 or 1) fall back to a one-letter alphabet so
-    that complement-style constructions stay well-defined.
-    """
-    letters: set[str] = set()
-    for t in terms:
-        letters |= letters_of(t)
-    if not letters:
-        letters = {fallback}
-    return Alphabet(tuple(sorted(letters)))
+def infer_alphabet(*terms: RatExpr) -> Alphabet:
+    """Alphabet of all letters occurring in the terms (see `alphabet_of`)."""
+    return alphabet_of(set().union(*map(letters_of, terms)))
 
 
 def words_up_to(alphabet: Alphabet, maxlen: int) -> Iterator[str]:

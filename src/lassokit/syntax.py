@@ -5,8 +5,11 @@ loop) and `$` (omega power), juxtaposition or `.` for concatenation,
 `+` for union, parentheses.  Precedence: postfix > concatenation > `+`;
 concatenation and `+` associate to the right (the printers rely on this).
 
-The parser produces a raw tagged tree; each expression kind applies its
-own conversion with the appropriate structural checks.
+The parser produces a raw tagged tree, and the caller names the postfix
+operators it allows besides `*`.  `raw_to_rexp` converts the tree to a
+rational expression; `lassoexp.raw_to_tailed` converts it to a lasso or
+omega expression, where the kind decides only which terminal (`@` or
+`$`) ends a branch.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 from helpers import random_lexp, random_rexp, random_rexp_no_ewp
 from lassokit import (
     Alphabet,
+    AlphabetMismatchError,
     Circle,
     DisjunctiveForm,
     LSum,
@@ -12,10 +13,14 @@ from lassokit import (
     Lasso,
     NullableLoopError,
     ONE,
+    OPrefix,
+    OZERO,
+    OmegaPower,
     ParseError,
     Prefix,
     ZERO,
     accepts,
+    compile_dfa,
     compile_lasso,
     d1_df,
     d1_general,
@@ -24,11 +29,15 @@ from lassokit import (
     df_member,
     disjunctive_form,
     enumerate_lassos,
+    h_map,
     lexp_to_str,
     member_lasso_naive,
     member_naive,
     normalize_b,
     parse_lexp,
+    parse_oexpr,
+    right_quotient,
+    to_nba,
 )
 from lassokit.ratexp import Concat, Letter, Sum
 from lassokit.syntax import parse_rexp
@@ -251,3 +260,30 @@ class TestCompile:
         aut = compile_lasso(parse_lexp("b(ab)*(ab*)@"))
         assert "ab*" not in aut.loop_labels
         assert set(aut.loop_labels) == {"0", "b*"}
+
+
+class TestKinds:
+    def test_lasso_and_omega_expressions_stay_apart(self):
+        # both kinds share one tree; the terminal and the kind's node classes
+        # keep them from comparing equal or being read as the other kind
+        r = parse_rexp("ab")
+        assert Circle(r) != OmegaPower(r)
+        assert LZERO != OZERO
+        assert Prefix(r, Circle(r)) != OPrefix(r, Circle(r))
+        omega = [parse_oexpr("a(b$)+b$"), OmegaPower(r), OZERO]
+        for T in omega:
+            for reject in (disjunctive_form, compile_lasso, lambda T: member_lasso_naive(T, Lasso("", "ab"))):
+                with pytest.raises(TypeError):
+                    reject(T)
+        for rho in [parse_lexp("a(b@)+b@"), Circle(r), LZERO]:
+            for reject in (h_map, to_nba):
+                with pytest.raises(TypeError):
+                    reject(rho)
+
+    def test_foreign_symbol_is_an_alphabet_mismatch(self):
+        d = compile_dfa(parse_rexp("ab"), AB)
+        aut = compile_lasso(parse_lexp("a(b@)"), AB)
+        for bad in (lambda: d.step(d.initial, "c"), lambda: accepts(aut, Lasso("c", "a")),
+                    lambda: accepts(aut, Lasso("", "ac")), lambda: right_quotient(d, "c")):
+            with pytest.raises(AlphabetMismatchError, match="symbol 'c' not in alphabet 'ab'"):
+                bad()

@@ -18,6 +18,7 @@ from lassokit import (
     deriv,
     enumerate_language,
     ewp,
+    infer_alphabet,
     member_naive,
     normalize_b,
     rexp_to_str,
@@ -167,6 +168,21 @@ class TestSplit:
     def test_pairs_normalized(self):
         for l, r in split(parse_rexp("(a+b)*a*")):
             assert normalize_b(l) == l and normalize_b(r) == r
+
+
+class TestAlphabet:
+    def test_letter_index_is_not_part_of_identity(self):
+        # Alphabet keys the to_nba cache: its letter index must not change
+        # equality, hashing, printing or pickling
+        ab = Alphabet.parse("ab")
+        assert ab == AB and hash(ab) == hash(AB) and {ab: 1}[AB] == 1
+        assert repr(ab) == "Alphabet(letters=('a', 'b'))"
+        assert pickle.loads(pickle.dumps(ab)) == ab and copy.deepcopy(ab).index("b") == 1
+        assert [ab.index(c) for c in "ab"] == [0, 1] and "b" in ab and "c" not in ab
+
+    def test_inferred_alphabet_is_sorted_letters_else_a(self):
+        assert infer_alphabet(parse_rexp("b(c+a)*")) == Alphabet.parse("abc")
+        assert infer_alphabet(parse_rexp("1+0"), ONE) == infer_alphabet() == Alphabet.parse("a")
 
 
 class TestEnumerate:
