@@ -190,15 +190,7 @@ def cmd_convert(args) -> int:
     if args.to == "automaton":
         _emit(write_automaton(omega_to_omega_automaton(oexpr, ab)), args.output)
         return 0
-    if args.fixpoint:
-        # iterate the reduction closure until stable; no termination
-        # guarantee in general, hence the round cap
-        from lassokit.omega import gamma_fixpoint, h_map
-
-        df = gamma_fixpoint(h_map(oexpr), ab, max_rounds=args.max_rounds)
-    else:
-        df = represent(oexpr, ab)
-    _emit(df_to_str(df) + "\n", args.output)
+    _emit(df_to_str(represent(oexpr, ab)) + "\n", args.output)
     return 0
 
 
@@ -313,13 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("convert", cmd_convert, "convert an omega expression to a lasso form")
     p.add_argument("--oexp", required=True, help="omega expression")
     p.add_argument("--to", choices=["df", "automaton"], default="df")
-    p.add_argument(
-        "--fixpoint",
-        action="store_true",
-        help="iterate the reduction closure until stable instead of applying it once "
-        "(experimental; may not terminate, see --max-rounds)",
-    )
-    p.add_argument("--max-rounds", type=int, default=50, help="round cap for --fixpoint")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
     p = add("split", cmd_split, "sequential splits of a rational expression")

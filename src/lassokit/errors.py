@@ -20,7 +20,7 @@ class AlphabetMismatchError(ValueError):
 
 
 class StateLimitError(RuntimeError):
-    """A state-space construction exceeded its hard cap (likely a nontermination bug)."""
+    """A state-space construction exceeded langops.STATE_CAP: a resource limit, not a bug."""
 
 
 class CertificationError(RuntimeError):

@@ -4,12 +4,20 @@ the root operation, and state elimination back to expressions.
 Automata are total by construction.  Every operation that returns a
 witness or counterexample produces the shortest one, breaking ties by
 the fixed alphabet order.
+
+Every construction that builds states (derivative closures, products,
+subset and transformation closures, minimization, and the lasso
+automaton constructions in `lassoexp` and `lassoaut`) goes through
+`explore`, the one breadth-first closure and the one place that applies
+`STATE_CAP`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .errors import AlphabetMismatchError, CertificationError, StateLimitError
 from .ratexp import (
@@ -29,6 +37,44 @@ from .ratexp import (
 )
 
 STATE_CAP = 100_000
+
+S = TypeVar("S", bound=Hashable)
+
+
+def explore(
+    starts: Iterable[S], successors: Callable[[S], Iterable[S]], what: str
+) -> tuple[dict[S, int], list[tuple[int, ...]]]:
+    """Breadth-first closure of `starts` under `successors`.
+
+    States are numbered in the order they are first seen: the starts
+    first (duplicates folded), then each state's successors in the order
+    `successors` yields them.  Returns the numbering (a dict in that
+    order) and, per state, the tuple of its successors' numbers.  Raises
+    StateLimitError once more than STATE_CAP states would be numbered;
+    `what` names the construction in the message.
+    """
+    index: dict[S, int] = {}
+    order: list[S] = []
+    rows: list[tuple[int, ...]] = []
+
+    def number(state: S) -> int:
+        i = index.get(state)
+        if i is None:
+            if len(order) >= STATE_CAP:
+                raise StateLimitError(f"{what} exceeded {STATE_CAP} states")
+            i = index[state] = len(order)
+            order.append(state)
+        return i
+
+    for state in starts:
+        number(state)
+    for state in order:  # grows while it is read: the breadth-first queue
+        row = []
+        for nxt in successors(state):
+            i = index.get(nxt)
+            row.append(number(nxt) if i is None else i)
+        rows.append(tuple(row))
+    return index, rows
 
 
 @dataclass(frozen=True)
@@ -66,78 +112,34 @@ def compile_dfa(t: RatExpr, alphabet: Alphabet | None = None) -> Dfa:
     from normalize_b(t), finals are the classes with the empty word property."""
     if alphabet is None:
         alphabet = infer_alphabet(t)
-    start = normalize_b(t)
-    index = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    queue = deque([start])
-    while queue:
-        e = queue.popleft()
-        row = []
-        for a in alphabet:
-            nxt = deriv(e, a)
-            if nxt not in index:
-                if len(index) >= STATE_CAP:
-                    raise StateLimitError(f"derivative closure exceeded {STATE_CAP} states")
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    finals = frozenset(i for i, e in enumerate(order) if ewp(e))
-    return Dfa(alphabet, tuple(rows), 0, finals, tuple(order))
-
-
-def _reachable(d: Dfa) -> Dfa:
-    seen = {d.initial: 0}
-    order = [d.initial]
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for ai in range(len(d.alphabet.letters)):
-            nxt = d.trans[q][ai]
-            if nxt not in seen:
-                seen[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-    rows = tuple(tuple(seen[d.trans[q][ai]] for ai in range(len(d.alphabet.letters))) for q in order)
-    finals = frozenset(seen[q] for q in d.finals if q in seen)
-    terms = tuple(d.terms[q] for q in order) if d.terms else None
-    return Dfa(d.alphabet, rows, 0, finals, terms)
+    index, rows = explore([normalize_b(t)], lambda e: [deriv(e, a) for a in alphabet], "derivative closure")
+    finals = frozenset(i for e, i in index.items() if ewp(e))
+    return Dfa(alphabet, tuple(rows), 0, finals, tuple(index))
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
-    """Moore partition refinement on the reachable part; language-preserving."""
-    d = _reachable(d)
-    n = d.n_states
-    na = len(d.alphabet.letters)
-    cls = [1 if q in d.finals else 0 for q in range(n)]
+    """Moore partition refinement on the reachable part; language-preserving.
+
+    The result is canonical: states are numbered breadth-first from the
+    initial state, so two DFAs for the same language minimize to equal
+    `Dfa`s."""
+    index, rows = explore([d.initial], d.trans.__getitem__, "minimization")
+    cls = [1 if q in d.finals else 0 for q in index]
     while True:
         sig: dict[tuple, int] = {}
         new = []
-        for q in range(n):
-            s = (cls[q],) + tuple(cls[d.trans[q][ai]] for ai in range(na))
+        for q, row in enumerate(rows):
+            s = (cls[q],) + tuple(cls[t] for t in row)
             new.append(sig.setdefault(s, len(sig)))
         if new == cls:
             break
         cls = new
-    # renumber classes in BFS order from the initial class for determinism
-    rep: dict[int, int] = {}
-    order: list[int] = []
-    queue = deque([d.initial])
-    rep[cls[d.initial]] = 0
-    order.append(d.initial)
-    while queue:
-        q = queue.popleft()
-        for ai in range(na):
-            nxt = d.trans[q][ai]
-            if cls[nxt] not in rep:
-                rep[cls[nxt]] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-    rows = tuple(tuple(rep[cls[d.trans[q][ai]]] for ai in range(na)) for q in order)
-    finals = frozenset(rep[cls[q]] for q in d.finals)
-    return Dfa(d.alphabet, rows, 0, finals)
+    # classes renumbered breadth-first from the initial class, for
+    # determinism; all members of a class step into the same classes
+    member = {c: q for q, c in enumerate(cls)}
+    classes, class_rows = explore([cls[0]], lambda c: [cls[t] for t in rows[member[c]]], "minimization")
+    finals = frozenset(classes[cls[index[q]]] for q in d.finals if q in index)
+    return Dfa(d.alphabet, tuple(class_rows), 0, finals)
 
 
 def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
@@ -146,22 +148,9 @@ def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
         raise AlphabetMismatchError("boolean_combine requires identical alphabets")
     if op not in ("and", "or", "diff"):
         raise ValueError(f"unknown op {op!r}")
-    na = len(d1.alphabet.letters)
-    index = {(d1.initial, d2.initial): 0}
-    order = [(d1.initial, d2.initial)]
-    queue = deque(order)
-    rows = []
-    while queue:
-        p, q = queue.popleft()
-        row = []
-        for ai in range(na):
-            nxt = (d1.trans[p][ai], d2.trans[q][ai])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
+    index, rows = explore(
+        [(d1.initial, d2.initial)], lambda pq: zip(d1.trans[pq[0]], d2.trans[pq[1]]), "product automaton"
+    )
 
     def is_final(p: int, q: int) -> bool:
         f1, f2 = p in d1.finals, q in d2.finals
@@ -171,7 +160,7 @@ def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
             return f1 or f2
         return f1 and not f2
 
-    finals = frozenset(i for i, (p, q) in enumerate(order) if is_final(p, q))
+    finals = frozenset(i for (p, q), i in index.items() if is_final(p, q))
     return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
 
@@ -189,25 +178,12 @@ def concat_dfa(d1: Dfa, d2: Dfa) -> Dfa:
     def enter(p: int, qs: frozenset[int]) -> tuple[int, frozenset[int]]:
         return (p, qs | {d2.initial}) if p in d1.finals else (p, qs)
 
-    start = enter(d1.initial, frozenset())
-    index = {start: 0}
-    order = [start]
-    queue = deque(order)
-    rows = []
-    while queue:
-        p, qs = queue.popleft()
-        row = []
-        for ai in range(na):
-            nxt = enter(d1.trans[p][ai], frozenset(d2.trans[q][ai] for q in qs))
-            if nxt not in index:
-                if len(index) >= STATE_CAP:
-                    raise StateLimitError(f"concatenation automaton exceeded {STATE_CAP} states")
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    finals = frozenset(i for i, (_, qs) in enumerate(order) if not qs.isdisjoint(d2.finals))
+    def successors(state: tuple[int, frozenset[int]]):
+        p, qs = state
+        return [enter(d1.trans[p][ai], frozenset(d2.trans[q][ai] for q in qs)) for ai in range(na)]
+
+    index, rows = explore([enter(d1.initial, frozenset())], successors, "concatenation automaton")
+    finals = frozenset(i for (_, qs), i in index.items() if not qs.isdisjoint(d2.finals))
     return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
 
@@ -274,17 +250,16 @@ def right_quotient(d: Dfa, a: str) -> Dfa:
 def root(d: Dfa) -> Dfa:
     """Automaton for {u nonempty : u^k in L(d) for some k >= 1}.
 
-    States are the transformations of d induced by input words, explored
-    from the identity.  A word u is accepted iff iterating its
-    transformation from the initial state ever hits a final state; the
-    orbit repeats within n steps, so k ranges over 1..n.  A separate
-    non-final start state keeps the empty word rejected even when some
-    nonempty word acts as the identity.
+    States are the transformations of d induced by nonempty input words,
+    explored from those of the letters.  A word u is accepted iff
+    iterating its transformation from the initial state ever hits a final
+    state; the orbit repeats within n steps, so k ranges over 1..n.  A
+    separate non-final start state keeps the empty word rejected even when
+    some nonempty word acts as the identity.
     """
     d = minimize_dfa(d)
     n = d.n_states
-    na = len(d.alphabet.letters)
-    letter_funcs = [tuple(d.trans[q][ai] for q in range(n)) for ai in range(na)]
+    letter_funcs = list(zip(*d.trans))
 
     def accepts_transformation(f: tuple[int, ...]) -> bool:
         x = d.initial
@@ -294,31 +269,13 @@ def root(d: Dfa) -> Dfa:
                 return True
         return False
 
-    index: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
+    # state 0 (None) is the fresh start; the others are transformations,
+    # f followed by letter a acting as x -> a(f(x))
+    def successors(f: tuple[int, ...] | None):
+        return letter_funcs if f is None else [tuple(g[x] for x in f) for g in letter_funcs]
 
-    def intern(f: tuple[int, ...]) -> int:
-        if f not in index:
-            if len(index) >= STATE_CAP:
-                raise StateLimitError(f"transformation closure exceeded {STATE_CAP} functions")
-            index[f] = len(order)
-            order.append(f)
-        return index[f]
-
-    start_targets = [intern(letter_funcs[ai]) for ai in range(na)]
-    queue = deque(range(len(order)))
-    rows_funcs: dict[int, tuple[int, ...]] = {}
-    while queue:
-        i = queue.popleft()
-        f = order[i]
-        before = len(order)
-        rows_funcs[i] = tuple(intern(tuple(letter_funcs[ai][f[q]] for q in range(n))) for ai in range(na))
-        queue.extend(range(before, len(order)))
-    # state 0 is the fresh start; transformation i maps to state i+1
-    rows = [tuple(t + 1 for t in start_targets)]
-    for i in range(len(order)):
-        rows.append(tuple(t + 1 for t in rows_funcs[i]))
-    finals = frozenset(i + 1 for i, f in enumerate(order) if accepts_transformation(f))
+    index, rows = explore([None], successors, "transformation closure")
+    finals = frozenset(i for f, i in index.items() if f is not None and accepts_transformation(f))
     return minimize_dfa(Dfa(d.alphabet, tuple(rows), 0, finals))
 
 

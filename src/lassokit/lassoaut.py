@@ -9,7 +9,6 @@ if this lands in a final loop state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,6 +19,7 @@ from .langops import (
     complement,
     dfa_to_expr,
     equivalent_dfa,
+    explore,
     is_empty_dfa,
     left_derivative,
     right_quotient,
@@ -81,18 +81,22 @@ def spoke_lang_dfa(aut: LassoAutomaton, x: int) -> Dfa:
     return Dfa(aut.alphabet, aut.d1, aut.initial, frozenset({x}))
 
 
-def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
-    """Shortest access word per reachable spoke state (alphabet-order BFS)."""
-    words = {aut.initial: ""}
-    queue = deque([aut.initial])
-    while queue:
-        x = queue.popleft()
-        for ai, a in enumerate(aut.alphabet.letters):
-            nxt = aut.d1[x][ai]
-            if nxt not in words:
-                words[nxt] = words[x] + a
-                queue.append(nxt)
+def _access_words(rows: list[tuple[int, ...]], letters: tuple[str, ...]) -> list[str]:
+    """Shortest access word per state of a breadth-first numbering from one
+    start (`explore` rows): each state is entered first from the earliest
+    state and letter, so the words come out in length-lex order."""
+    words = [""]
+    for i, row in enumerate(rows):
+        for a, j in zip(letters, row):
+            if j == len(words):
+                words.append(words[i] + a)
     return words
+
+
+def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
+    """Shortest access word per reachable spoke state, in length-lex order."""
+    index, rows = explore([aut.initial], aut.d1.__getitem__, "spoke part")
+    return dict(zip(index, _access_words(rows, aut.alphabet.letters)))
 
 
 def _extract(aut: LassoAutomaton, terminal: type[Terminal], loop_lang: Callable[[int, int], Dfa]) -> TailedExpr:
@@ -100,8 +104,7 @@ def _extract(aut: LassoAutomaton, terminal: type[Terminal], loop_lang: Callable[
     loop states y, of the access language of x prefixed onto
     terminal(loop_lang(x, y)).  Empty loop languages are dropped."""
     terms: list[tuple[RatExpr, RatExpr]] = []
-    access = _spoke_access_words(aut)
-    for x in sorted(access, key=lambda x: (len(access[x]), access[x])):
+    for x in _spoke_access_words(aut):
         s_expr = None
         for y in sorted(aut.finals):
             r_dfa = loop_lang(x, y)
@@ -154,23 +157,13 @@ def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lass
     |spoke| + |loop| (ties broken by spoke then loop text)."""
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("equivalent_lasso requires identical alphabets")
-    words: dict[tuple[int, int], str] = {(a1.initial, a2.initial): ""}
-    queue = deque([(a1.initial, a2.initial)])
-    order = [(a1.initial, a2.initial)]
-    while queue:
-        x1, x2 = queue.popleft()
-        for ai, a in enumerate(a1.alphabet.letters):
-            nxt = (a1.d1[x1][ai], a2.d1[x2][ai])
-            if nxt not in words:
-                words[nxt] = words[(x1, x2)] + a
-                order.append(nxt)
-                queue.append(nxt)
+    index, rows = explore([(a1.initial, a2.initial)], lambda x12: zip(a1.d1[x12[0]], a2.d1[x12[1]]), "spoke product")
     best: Lasso | None = None
-    for x1, x2 in order:
+    for (x1, x2), u in zip(index, _access_words(rows, a1.alphabet.letters)):
         eq, w = equivalent_dfa(loop_dfa(a1, x1), loop_dfa(a2, x2))
         if eq:
             continue
-        cand = Lasso(words[(x1, x2)], w)
+        cand = Lasso(u, w)
         key = (len(cand.spoke) + len(cand.loop), cand.spoke, cand.loop)
         if best is None or key < (len(best.spoke) + len(best.loop), best.spoke, best.loop):
             best = cand
@@ -212,11 +205,9 @@ def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]
     rotation check per letter, then collapse, then power).
     """
     access = _spoke_access_words(aut)
-    scan = sorted(access, key=lambda x: (len(access[x]), access[x]))
-    loop_dfas = {x: loop_dfa(aut, x) for x in scan}
+    loop_dfas = {x: loop_dfa(aut, x) for x in access}
     candidates: list[tuple[Lasso, Lasso]] = []
-    for x in scan:
-        u = access[x]
+    for x, u in access.items():
         px = loop_dfas[x]
         for ai, a in enumerate(aut.alphabet.letters):
             x2 = aut.d1[x][ai]

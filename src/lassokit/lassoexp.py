@@ -23,12 +23,11 @@ spoke states of the compiled automaton.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .errors import NullableLoopError, ParseError, StateLimitError
-from .langops import STATE_CAP
+from .errors import NullableLoopError, ParseError
+from .langops import explore
 from .lassos import Lasso
 from .ratexp import (
     Alphabet,
@@ -403,52 +402,18 @@ def compile_lasso(rho: LassoExpr | DisjunctiveForm, alphabet: Alphabet | None = 
     if alphabet is None:
         alphabet = alphabet_of(df_letters(df0) if isinstance(rho, DisjunctiveForm) else lexp_letters(rho))
 
-    spoke_index: dict[DisjunctiveForm, int] = {df0: 0}
-    spoke_order = [df0]
-    d1_rows: list[tuple[int, ...]] = []
-    switch_exprs: list[tuple[RatExpr, ...]] = []
-    queue = deque([df0])
-    while queue:
-        df = queue.popleft()
-        row = []
-        for a in alphabet:
-            nxt = d1_df(df, a)
-            if nxt not in spoke_index:
-                if len(spoke_index) >= STATE_CAP:
-                    raise StateLimitError(f"spoke closure exceeded {STATE_CAP} states")
-                spoke_index[nxt] = len(spoke_order)
-                spoke_order.append(nxt)
-                queue.append(nxt)
-            row.append(spoke_index[nxt])
-        d1_rows.append(tuple(row))
-        switch_exprs.append(tuple(d2_df(df, a) for a in alphabet))
-
-    loop_index: dict[RatExpr, int] = {}
-    loop_order: list[RatExpr] = []
-
-    def intern_loop(e: RatExpr) -> int:
-        if e not in loop_index:
-            if len(loop_index) >= STATE_CAP:
-                raise StateLimitError(f"loop closure exceeded {STATE_CAP} states")
-            loop_index[e] = len(loop_order)
-            loop_order.append(e)
-        return loop_index[e]
-
-    d2_rows = tuple(tuple(intern_loop(e) for e in row) for row in switch_exprs)
-    d3_rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(loop_order):
-        e = loop_order[i]
-        d3_rows.append(tuple(intern_loop(deriv(e, a)) for a in alphabet))
-        i += 1
-    finals = frozenset(i for i, e in enumerate(loop_order) if ewp(e))
+    spoke_index, d1_rows = explore([df0], lambda df: [d1_df(df, a) for a in alphabet], "spoke closure")
+    switch_exprs = [[d2_df(df, a) for a in alphabet] for df in spoke_index]
+    loop_index, d3_rows = explore(
+        [e for row in switch_exprs for e in row], lambda e: [deriv(e, a) for a in alphabet], "loop closure"
+    )
     return LassoAutomaton(
         alphabet=alphabet,
         d1=tuple(d1_rows),
-        d2=d2_rows,
+        d2=tuple(tuple(loop_index[e] for e in row) for row in switch_exprs),
         d3=tuple(d3_rows),
         initial=0,
-        finals=finals,
-        spoke_labels=tuple(df_to_str(df) for df in spoke_order),
-        loop_labels=tuple(rexp_to_str(e) for e in loop_order),
+        finals=frozenset(i for e, i in loop_index.items() if ewp(e)),
+        spoke_labels=tuple(df_to_str(df) for df in spoke_index),
+        loop_labels=tuple(rexp_to_str(e) for e in loop_index),
     )

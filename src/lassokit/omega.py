@@ -216,7 +216,7 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
 
     Applied to an expansion-closed input (such as h_map output) the
     result is saturated; on arbitrary inputs a single application need
-    not be (see gamma_fixpoint).
+    not be.
     """
     if alphabet is None:
         alphabet = alphabet_of(df_letters(df))
@@ -248,26 +248,6 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
                 if loop is not None:
                     pairs.append((t0, loop))
     return DisjunctiveForm(tuple(pairs))
-
-
-def gamma_fixpoint(
-    df: DisjunctiveForm, alphabet: Alphabet | None = None, max_rounds: int | None = None
-) -> DisjunctiveForm:
-    """Iterate gamma_map until the disjunctive form stabilizes.
-
-    No termination guarantee on arbitrary inputs; max_rounds caps the
-    iteration (raising if the cap is hit).  Single-application callers
-    should use gamma_map directly.
-    """
-    rounds = 0
-    while True:
-        nxt = gamma_map(df, alphabet)
-        if nxt == df:
-            return df
-        df = nxt
-        rounds += 1
-        if max_rounds is not None and rounds >= max_rounds:
-            raise CertificationError(f"gamma_fixpoint did not stabilize within {max_rounds} rounds")
 
 
 def represent(T: OmegaExpr, alphabet: Alphabet | None = None) -> DisjunctiveForm:

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,21 +14,26 @@ from lassokit import (
     ZERO,
     boolean_combine,
     compile_dfa,
+    compile_lasso,
     complement,
     concat_dfa,
     dfa_to_dot,
     dfa_to_expr,
     enumerate_language,
     equivalent_dfa,
+    equivalent_lasso,
     is_empty_dfa,
     left_derivative,
     member_naive,
     minimize_dfa,
     normalize_b,
+    parse_lexp,
     right_quotient,
     root,
     run_dfa,
 )
+from lassokit.langops import Dfa, explore
+from lassokit.lassoaut import LassoAutomaton
 from lassokit.ratexp import rcat, words_up_to
 from lassokit.syntax import parse_rexp
 
@@ -224,12 +230,52 @@ class TestConcat:
         with pytest.raises(AlphabetMismatchError):
             concat_dfa(compile_dfa(parse_rexp("a"), A), compile_dfa(parse_rexp("a"), AB))
 
-    def test_state_cap(self, monkeypatch):
-        d = compile_dfa(parse_rexp("(a+b)*a(a+b)(a+b)"), AB)
-        assert concat_dfa(d, d).n_states > 4
-        monkeypatch.setattr(langops, "STATE_CAP", 4)
-        with pytest.raises(StateLimitError):
-            concat_dfa(d, d)
+
+class TestExplore:
+    def test_numbering_order(self):
+        # starts first with duplicates folded, then successors breadth-first
+        index, rows = explore([2, 0, 2], lambda n: [(n + 1) % 3, 2 * n % 3], "test")
+        assert list(index.items()) == [(2, 0), (0, 1), (1, 2)]
+        assert rows == [(1, 2), (2, 1), (0, 0)]
+
+    def test_cap_counts_starts(self, monkeypatch):
+        monkeypatch.setattr(langops, "STATE_CAP", 2)
+        with pytest.raises(StateLimitError, match="^test exceeded 2 states$"):
+            explore([0, 1, 2], lambda n: [], "test")
+
+
+# a counts modulo 3, b is ignored
+A_MOD_3 = Dfa(AB, ((1, 0), (2, 1), (0, 2)), 0, frozenset({0}))
+# b counts modulo 2, a is ignored
+B_MOD_2 = Dfa(AB, ((0, 1), (1, 0)), 0, frozenset({0}))
+# a rotates the three states and b swaps the first two: a minimal DFA
+# whose transformation monoid is the symmetric group on three points
+ROTATE_SWAP = Dfa(AB, ((1, 1), (2, 0), (0, 2)), 0, frozenset({0}))
+
+
+def spoke_only(d: Dfa) -> LassoAutomaton:
+    """Lasso automaton with d's transitions as its spoke part and one loop state."""
+    return LassoAutomaton(AB, d.trans, tuple((0, 0) for _ in d.trans), ((0, 0),), d.initial, frozenset({0}))
+
+
+# the calls that must exceed a cap of 4 states, with the construction each names
+CAPPED = {
+    "compile_dfa": ("derivative closure", partial(compile_dfa, parse_rexp("(a+b)*a(a+b)(a+b)"), AB)),
+    "boolean_combine": ("product automaton", partial(boolean_combine, A_MOD_3, B_MOD_2, "and")),
+    "concat_dfa": ("concatenation automaton", partial(concat_dfa, A_MOD_3, B_MOD_2)),
+    "root": ("transformation closure", partial(root, ROTATE_SWAP)),
+    "compile_lasso": ("spoke closure", partial(compile_lasso, parse_lexp("(a+b)*a(a+b)(a+b)(a@)"), AB)),
+    "equivalent_lasso": ("spoke product", partial(equivalent_lasso, spoke_only(A_MOD_3), spoke_only(B_MOD_2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_state_cap(name, monkeypatch):
+    what, call = CAPPED[name]
+    call()  # within the real cap
+    monkeypatch.setattr(langops, "STATE_CAP", 4)
+    with pytest.raises(StateLimitError, match=f"^{what} exceeded 4 states$"):
+        call()
 
 
 class TestToExpr:
@@ -280,6 +326,45 @@ class TestMinimize:
             m = minimize_dfa(d)
             assert m.n_states <= d.n_states
             assert equivalent_dfa(m, d)[0]
+
+    def test_canonical(self):
+        # minimize_dfa is what keeps root's output, and so dfa_to_expr's
+        # text, independent of how its input happened to be numbered
+        rng = random.Random(53)
+        for _ in range(100):
+            d = compile_dfa(random_rexp(rng, "ab", 4), AB)
+            m = minimize_dfa(d)
+            assert minimize_dfa(renumbered(d, rng)) == m
+            assert minimize_dfa(m) == m
+            assert m.n_states == residual_count(d)
+
+
+def renumbered(d: Dfa, rng: random.Random) -> Dfa:
+    """d with its states shuffled and one unreachable state added."""
+    n = d.n_states
+    perm = list(range(n + 1))
+    rng.shuffle(perm)
+    trans = list(d.trans) + [tuple(rng.randrange(n) for _ in d.alphabet)]
+    new_trans = [()] * (n + 1)
+    for q, row in enumerate(trans):
+        new_trans[perm[q]] = tuple(perm[t] for t in row)
+    extra_final = {n} if rng.random() < 0.5 else set()
+    finals = frozenset(perm[q] for q in d.finals | extra_final)
+    return Dfa(d.alphabet, tuple(new_trans), perm[d.initial], finals)
+
+
+def residual_count(d: Dfa) -> int:
+    """Number of distinct residuals {v : uv in L(d)} over words u, compared
+    on words v, both of length up to the number of states: brute force."""
+    words = list(words_up_to(d.alphabet, d.n_states))
+
+    def run(q: int, w: str) -> int:
+        for a in w:
+            q = d.step(q, a)
+        return q
+
+    reached = {run(d.initial, u) for u in words}
+    return len({tuple(run(q, v) in d.finals for v in words) for q in reached})
 
 
 def test_dot_output_shape():

@@ -293,19 +293,6 @@ class TestGammaMap:
                     assert df_member(g, l), (tau, l)
 
 
-class TestGammaFixpoint:
-    def test_saturates_the_shifted_loop(self):
-        # iterating the closure on aaa.(a)@ eventually reaches the full
-        # equivalence class {a^k . (a)@}
-        from lassokit import gamma_fixpoint
-
-        df = DisjunctiveForm(((parse_rexp("aaa"), Letter("a")),))
-        fixed = gamma_fixpoint(df, A, max_rounds=10)
-        target = parse_lexp("1(a@)+a(a@)+aa(a@)+aaa(a@)")
-        for l in enumerate_lassos(A, 6, 6):
-            assert df_member(fixed, l) == member_lasso_naive(target, l), l
-
-
 class TestRepresent:
     def test_a_power_grid(self):
         r = represent(parse_oexpr("a$"))
