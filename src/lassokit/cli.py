@@ -56,16 +56,24 @@ from .ratexp import (
     rexp_to_str,
     split,
 )
-from .syntax import parse_rexp
+from .syntax import check_letter, parse_rexp
 
 
 def _word_literal(w: str) -> str:
     return w if w else "''"
 
 
-def _resolve_alphabet(explicit: str | None, letters: set[str], warn: bool = False) -> Alphabet:
+def _alphabet_arg(args, *words: str) -> Alphabet | None:
+    """The --alphabet override (None if not given); it must hold the letters of `words`."""
+    alphabet = None if args.alphabet is None else Alphabet.parse(args.alphabet)
+    for c in "".join(words):
+        check_letter(c, alphabet)
+    return alphabet
+
+
+def _resolve_alphabet(explicit: Alphabet | None, letters: set[str], warn: bool = False) -> Alphabet:
     if explicit is not None:
-        return Alphabet.parse(explicit)
+        return explicit
     alphabet = alphabet_of(letters)
     if warn:
         print(
@@ -97,7 +105,7 @@ def cmd_member(args) -> int:
     if kind == "rexp":
         if args.word is None:
             raise ParseError("--rexp requires --word")
-        expr = parse_rexp(args.rexp, Alphabet.parse(args.alphabet) if args.alphabet else None)
+        expr = parse_rexp(args.rexp, _alphabet_arg(args, args.word))
         ok = member_naive(expr, args.word)
         subject = f"word {_word_literal(args.word)}"
         target = rexp_to_str(expr)
@@ -105,14 +113,14 @@ def cmd_member(args) -> int:
         if args.lasso is None:
             raise ParseError(f"--{kind} requires --lasso")
         lasso = parse_lasso(args.lasso)
-        alphabet = Alphabet.parse(args.alphabet) if args.alphabet else None
+        alphabet = _alphabet_arg(args, lasso.spoke, lasso.loop)
         if kind == "lexp":
             lexpr = parse_lexp(args.lexp, alphabet)
             ok = member_lasso_naive(lexpr, lasso)
             target = lexp_to_str(lexpr)
         else:
             oexpr = parse_oexpr(args.oexp, alphabet)
-            ab = _resolve_alphabet(args.alphabet, oexp_letters(oexpr) | set(lasso.spoke + lasso.loop))
+            ab = _resolve_alphabet(alphabet, oexp_letters(oexpr) | set(lasso.spoke + lasso.loop))
             ok = up_member(oexpr, lasso, ab)
             target = oexp_to_str(oexpr)
         subject = f"lasso {lasso}"
@@ -143,14 +151,14 @@ def cmd_equiv_lasso(args) -> int:
 def cmd_compile(args) -> int:
     if (args.rexp is None) == (args.lexp is None):
         raise ParseError("compile needs exactly one of --rexp/--lexp")
-    alphabet = Alphabet.parse(args.alphabet) if args.alphabet else None
+    alphabet = _alphabet_arg(args)
     if args.rexp is not None:
         expr = parse_rexp(args.rexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, letters_of(expr))
+        ab = _resolve_alphabet(alphabet, letters_of(expr))
         _emit(write_dfa(compile_dfa(expr, ab)), args.output)
     else:
         lexpr = parse_lexp(args.lexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, lexp_letters(lexpr))
+        ab = _resolve_alphabet(alphabet, lexp_letters(lexpr))
         _emit(write_automaton(compile_lasso(lexpr, ab)), args.output)
     return 0
 
@@ -184,9 +192,9 @@ def cmd_saturated(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    alphabet = Alphabet.parse(args.alphabet) if args.alphabet else None
+    alphabet = _alphabet_arg(args)
     oexpr = parse_oexpr(args.oexp, alphabet)
-    ab = _resolve_alphabet(args.alphabet, oexp_letters(oexpr), warn=True)
+    ab = _resolve_alphabet(alphabet, oexp_letters(oexpr), warn=True)
     if args.to == "automaton":
         _emit(write_automaton(omega_to_omega_automaton(oexpr, ab)), args.output)
         return 0
@@ -195,7 +203,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_split(args) -> int:
-    expr = parse_rexp(args.rexp, Alphabet.parse(args.alphabet) if args.alphabet else None)
+    expr = parse_rexp(args.rexp, _alphabet_arg(args))
     pairs = split(expr)
     print(f"{len(pairs)} split pairs of {rexp_to_str(expr)}")
     for left, right in pairs:
@@ -204,8 +212,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_root(args) -> int:
-    expr = parse_rexp(args.rexp, Alphabet.parse(args.alphabet) if args.alphabet else None)
-    ab = _resolve_alphabet(args.alphabet, letters_of(expr), warn=True)
+    alphabet = _alphabet_arg(args)
+    expr = parse_rexp(args.rexp, alphabet)
+    ab = _resolve_alphabet(alphabet, letters_of(expr), warn=True)
     print(rexp_to_str(dfa_to_expr(root(compile_dfa(expr, ab)))))
     return 0
 
@@ -216,20 +225,20 @@ def cmd_enumerate(args) -> int:
         raise ParseError("enumerate needs exactly one of --rexp/--lexp/--oexp")
     if args.maxlen < 0 or args.max_spoke < 0 or args.max_loop < 1:
         raise ParseError("enumeration bounds must be nonnegative (loop bound at least 1)")
-    alphabet = Alphabet.parse(args.alphabet) if args.alphabet else None
+    alphabet = _alphabet_arg(args)
     if args.rexp is not None:
         expr = parse_rexp(args.rexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, letters_of(expr))
+        ab = _resolve_alphabet(alphabet, letters_of(expr))
         for w in enumerate_language(expr, args.maxlen, ab):
             print(_word_literal(w))
         return 0
     if args.lexp is not None:
         lexpr = parse_lexp(args.lexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, lexp_letters(lexpr))
+        ab = _resolve_alphabet(alphabet, lexp_letters(lexpr))
         check = lambda l: member_lasso_naive(lexpr, l)
     else:
         oexpr = parse_oexpr(args.oexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, oexp_letters(oexpr))
+        ab = _resolve_alphabet(alphabet, oexp_letters(oexpr))
         check = lambda l: up_member(oexpr, l, ab)
     for l in enumerate_lassos(ab, args.max_spoke, args.max_loop):
         if check(l):
@@ -241,16 +250,16 @@ def cmd_dot(args) -> int:
     sources = [args.file is not None, args.rexp is not None, args.lexp is not None]
     if sum(sources) != 1:
         raise ParseError("dot needs exactly one of FILE/--rexp/--lexp")
-    alphabet = Alphabet.parse(args.alphabet) if args.alphabet else None
+    alphabet = _alphabet_arg(args)
     if args.file is not None:
         _emit(lasso_to_dot(_read_automaton_file(args.file)), args.output)
     elif args.rexp is not None:
         expr = parse_rexp(args.rexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, letters_of(expr))
+        ab = _resolve_alphabet(alphabet, letters_of(expr))
         _emit(dfa_to_dot(compile_dfa(expr, ab)), args.output)
     else:
         lexpr = parse_lexp(args.lexp, alphabet)
-        ab = _resolve_alphabet(args.alphabet, lexp_letters(lexpr))
+        ab = _resolve_alphabet(alphabet, lexp_letters(lexpr))
         _emit(lasso_to_dot(compile_lasso(lexpr, ab)), args.output)
     return 0
 

@@ -3,7 +3,8 @@ the root operation, and state elimination back to expressions.
 
 Automata are total by construction.  Every operation that returns a
 witness or counterexample produces the shortest one, breaking ties by
-the fixed alphabet order.
+the fixed alphabet order: every such word is read off an `explore`
+numbering by `access_words`, the one witness rule.
 
 Every construction that builds states (derivative closures, products,
 subset and transformation closures, minimization, and the lasso
@@ -14,7 +15,6 @@ automaton constructions in `lassoexp` and `lassoaut`) goes through
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -134,33 +134,35 @@ def minimize_dfa(d: Dfa) -> Dfa:
         if new == cls:
             break
         cls = new
-    # classes renumbered breadth-first from the initial class, for
-    # determinism; all members of a class step into the same classes
+    # classes are numbered by first member in the breadth-first order of
+    # the states, which is the breadth-first numbering of the quotient;
+    # all members of a class step into the same classes
     member = {c: q for q, c in enumerate(cls)}
-    classes, class_rows = explore([cls[0]], lambda c: [cls[t] for t in rows[member[c]]], "minimization")
-    finals = frozenset(classes[cls[index[q]]] for q in d.finals if q in index)
-    return Dfa(d.alphabet, tuple(class_rows), 0, finals)
+    class_rows = tuple(tuple(cls[t] for t in rows[member[c]]) for c in range(len(member)))
+    finals = frozenset(cls[index[q]] for q in d.finals if q in index)
+    return Dfa(d.alphabet, class_rows, 0, finals)
+
+
+# the final-state rule of each product, on (final in d1, final in d2)
+_COMBINE_OPS: dict[str, Callable[[bool, bool], bool]] = {
+    "and": lambda f1, f2: f1 and f2,
+    "or": lambda f1, f2: f1 or f2,
+    "diff": lambda f1, f2: f1 and not f2,
+    "xor": lambda f1, f2: f1 != f2,
+}
 
 
 def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
-    """Product automaton on reachable state pairs; op is one of and/or/diff."""
+    """Product automaton on reachable state pairs; op is one of and/or/diff/xor."""
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("boolean_combine requires identical alphabets")
-    if op not in ("and", "or", "diff"):
+    is_final = _COMBINE_OPS.get(op)
+    if is_final is None:
         raise ValueError(f"unknown op {op!r}")
     index, rows = explore(
         [(d1.initial, d2.initial)], lambda pq: zip(d1.trans[pq[0]], d2.trans[pq[1]]), "product automaton"
     )
-
-    def is_final(p: int, q: int) -> bool:
-        f1, f2 = p in d1.finals, q in d2.finals
-        if op == "and":
-            return f1 and f2
-        if op == "or":
-            return f1 or f2
-        return f1 and not f2
-
-    finals = frozenset(i for (p, q), i in index.items() if is_final(p, q))
+    finals = frozenset(i for (p, q), i in index.items() if is_final(p in d1.finals, q in d2.finals))
     return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
 
@@ -192,47 +194,31 @@ def complement(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, d.trans, d.initial, finals, d.terms)
 
 
-def _bfs_word(d: Dfa, accept) -> str | None:
-    """Shortest word leading from the initial state into `accept`, alphabet order ties."""
-    if accept(d.initial):
-        return ""
-    parent: dict[int, tuple[int, str]] = {d.initial: (-1, "")}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for ai, a in enumerate(d.alphabet.letters):
-            nxt = d.trans[q][ai]
-            if nxt not in parent:
-                parent[nxt] = (q, a)
-                if accept(nxt):
-                    word = []
-                    cur = nxt
-                    while cur != d.initial:
-                        prev, sym = parent[cur]
-                        word.append(sym)
-                        cur = prev
-                    return "".join(reversed(word))
-                queue.append(nxt)
-    return None
+def access_words(rows: list[tuple[int, ...]], letters: tuple[str, ...]) -> list[str]:
+    """Shortest access word per state of a breadth-first numbering from one
+    start (`explore` rows): each state is entered first from the earliest
+    state and letter, so the words come out in length-lex order."""
+    words = [""]
+    for i, row in enumerate(rows):
+        for a, j in zip(letters, row):
+            if j == len(words):
+                words.append(words[i] + a)
+    return words
 
 
 def is_empty_dfa(d: Dfa) -> tuple[bool, str | None]:
-    """(True, None) if no final state is reachable, else (False, shortest accepted word)."""
-    witness = _bfs_word(d, lambda q: q in d.finals)
-    return (witness is None, witness)
+    """(True, None) if no final state is reachable, else (False, shortest
+    accepted word): the access word of the first final state reached."""
+    index, rows = explore([d.initial], d.trans.__getitem__, "emptiness check")
+    first = next((i for q, i in index.items() if q in d.finals), None)
+    return (True, None) if first is None else (False, access_words(rows, d.alphabet.letters)[first])
 
 
 def equivalent_dfa(d1: Dfa, d2: Dfa) -> tuple[bool, str | None]:
-    """Language equality via product BFS; on failure the shortest distinguishing word."""
+    """Language equality; on failure the least word of the symmetric difference."""
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("equivalent_dfa requires identical alphabets")
-    _, w1 = is_empty_dfa(boolean_combine(d1, d2, "diff"))
-    _, w2 = is_empty_dfa(boolean_combine(d2, d1, "diff"))
-    candidates = [w for w in (w1, w2) if w is not None]
-    if not candidates:
-        return (True, None)
-    best = min(candidates, key=lambda w: (len(w), w))
-    return (False, best)
+    return is_empty_dfa(boolean_combine(d1, d2, "xor"))
 
 
 def left_derivative(d: Dfa, a: str) -> Dfa:

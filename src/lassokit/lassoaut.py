@@ -15,6 +15,7 @@ from typing import Callable
 from .errors import AlphabetMismatchError, AutomatonFormatError
 from .langops import (
     Dfa,
+    access_words,
     boolean_combine,
     complement,
     dfa_to_expr,
@@ -81,22 +82,10 @@ def spoke_lang_dfa(aut: LassoAutomaton, x: int) -> Dfa:
     return Dfa(aut.alphabet, aut.d1, aut.initial, frozenset({x}))
 
 
-def _access_words(rows: list[tuple[int, ...]], letters: tuple[str, ...]) -> list[str]:
-    """Shortest access word per state of a breadth-first numbering from one
-    start (`explore` rows): each state is entered first from the earliest
-    state and letter, so the words come out in length-lex order."""
-    words = [""]
-    for i, row in enumerate(rows):
-        for a, j in zip(letters, row):
-            if j == len(words):
-                words.append(words[i] + a)
-    return words
-
-
 def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
     """Shortest access word per reachable spoke state, in length-lex order."""
     index, rows = explore([aut.initial], aut.d1.__getitem__, "spoke part")
-    return dict(zip(index, _access_words(rows, aut.alphabet.letters)))
+    return dict(zip(index, access_words(rows, aut.alphabet.letters)))
 
 
 def _extract(aut: LassoAutomaton, terminal: type[Terminal], loop_lang: Callable[[int, int], Dfa]) -> TailedExpr:
@@ -108,8 +97,7 @@ def _extract(aut: LassoAutomaton, terminal: type[Terminal], loop_lang: Callable[
         s_expr = None
         for y in sorted(aut.finals):
             r_dfa = loop_lang(x, y)
-            empty, _ = is_empty_dfa(r_dfa)
-            if empty:
+            if is_empty_dfa(r_dfa)[0]:
                 continue
             if s_expr is None:
                 s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
@@ -158,15 +146,12 @@ def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lass
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("equivalent_lasso requires identical alphabets")
     index, rows = explore([(a1.initial, a2.initial)], lambda x12: zip(a1.d1[x12[0]], a2.d1[x12[1]]), "spoke product")
-    best: Lasso | None = None
-    for (x1, x2), u in zip(index, _access_words(rows, a1.alphabet.letters)):
+    counterexamples = []
+    for (x1, x2), u in zip(index, access_words(rows, a1.alphabet.letters)):
         eq, w = equivalent_dfa(loop_dfa(a1, x1), loop_dfa(a2, x2))
-        if eq:
-            continue
-        cand = Lasso(u, w)
-        key = (len(cand.spoke) + len(cand.loop), cand.spoke, cand.loop)
-        if best is None or key < (len(best.spoke) + len(best.loop), best.spoke, best.loop):
-            best = cand
+        if not eq:
+            counterexamples.append(Lasso(u, w))
+    best = min(counterexamples, key=lambda l: (len(l.spoke) + len(l.loop), l.spoke, l.loop), default=None)
     return (best is None, best)
 
 
@@ -219,8 +204,7 @@ def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]
                     candidates.append((reduct, expanded))
                 else:
                     candidates.append((expanded, reduct))
-        root_px = root(px)
-        empty, w = is_empty_dfa(boolean_combine(root_px, px, "diff"))
+        empty, w = is_empty_dfa(boolean_combine(root(px), px, "diff"))
         if not empty:
             k = _power_witness(px, w, want_final=True)
             candidates.append((Lasso(u, w * k), Lasso(u, w)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificationError
-from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, root
+from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, root
 # the omega expression tree is lassoexp's tailed-expression tree; its
 # public names are re-exported here
 from .lassoexp import (
@@ -42,6 +42,7 @@ from .lassoexp import (
     osum,
     parse_oexpr,
 )
+from .lassoaut import is_saturated
 from .lassos import Lasso
 from .ratexp import Alphabet, RatExpr, alphabet_of, ewp, normalize_b, rcat, rstar, split
 
@@ -236,14 +237,11 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
             for s0, s1 in s_splits:
                 key = (t1, s1, s0)
                 if key not in loop_cache:
+                    # the product and root's minimal result hold only
+                    # reachable states: each is empty iff it has no finals
                     inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
-                    empty, _ = is_empty_dfa(inter)
-                    if empty:
-                        loop_cache[key] = None
-                    else:
-                        rt = root(concat_dfa(inter, dfa_of(s0)))
-                        rt_empty, _ = is_empty_dfa(rt)
-                        loop_cache[key] = None if rt_empty else dfa_to_expr(rt)
+                    rt = root(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
+                    loop_cache[key] = dfa_to_expr(rt) if rt is not None and rt.finals else None
                 loop = loop_cache[key]
                 if loop is not None:
                     pairs.append((t0, loop))
@@ -259,8 +257,6 @@ def represent(T: OmegaExpr, alphabet: Alphabet | None = None) -> DisjunctiveForm
 def omega_to_omega_automaton(T: OmegaExpr, alphabet: Alphabet | None = None):
     """Finite saturated lasso automaton accepting exactly the lassos whose
     words lie in the omega language of T.  Saturation is asserted exactly."""
-    from .lassoaut import is_saturated
-
     alphabet = _oexp_alphabet(T, alphabet)
     aut = compile_lasso(represent(T, alphabet), alphabet)
     sat, pair = is_saturated(aut)

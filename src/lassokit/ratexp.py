@@ -18,8 +18,8 @@ they are asked for: its hash, its `normalize_b` normal form, its
 - a normal form is its own normal form: `normalize_b` records its result
   on the input and marks the result as normal.
 
-The caches live on the terms, so they are freed with them; there is no
-module-level table.
+These caches are freed with their terms.  `deriv` and `_member` are
+unbounded module-level `lru_cache`s and keep every term they see.
 
 Derivatives are built directly in normal form (Owens, Reppy & Turon,
 "Regular-expression derivatives re-examined", 2009).  `deriv` normalizes

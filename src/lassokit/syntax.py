@@ -90,8 +90,7 @@ class _Parser:
             self.take()
             return ("one",)
         if "a" <= c <= "z":
-            if self.alphabet is not None and c not in self.alphabet:
-                raise self.error(f"letter {c!r} outside alphabet {''.join(self.alphabet.letters)!r}")
+            check_letter(c, self.alphabet, self.pos)
             self.take()
             return ("letter", c)
         if c == "(":
@@ -102,6 +101,12 @@ class _Parser:
             self.take()
             return node
         raise self.error(f"unexpected {c!r}")
+
+
+def check_letter(c: str, alphabet: Alphabet | None, pos: int | None = None) -> None:
+    """Raise ParseError if an alphabet is given and c lies outside it."""
+    if alphabet is not None and c not in alphabet:
+        raise ParseError(f"letter {c!r} outside alphabet {''.join(alphabet.letters)!r}", pos)
 
 
 def parse_raw(text: str, allow: frozenset[str] = frozenset(), alphabet: Alphabet | None = None) -> RawExpr:

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import random
 
+from lassokit.lassoaut import LassoAutomaton
 from lassokit.lassoexp import Circle, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
 from lassokit.omega import OPrefix, OSum, OZERO, OmegaExpr, OmegaPower
 from lassokit.ratexp import (
+    Alphabet,
     Concat,
     Letter,
     ONE,
@@ -101,6 +103,15 @@ def random_oexp(rng: random.Random, letters: str = "ab", depth: int = 3) -> Omeg
     if kind == "prefix":
         return OPrefix(random_rexp(rng, letters, depth - 1), random_oexp(rng, letters, depth - 1))
     return OSum(random_oexp(rng, letters, depth - 1), random_oexp(rng, letters, depth - 1))
+
+
+def random_lauto(rng: random.Random, n_spoke: int = 3, n_loop: int = 3) -> LassoAutomaton:
+    letters = ("a", "b")
+    d1 = tuple(tuple(rng.randrange(n_spoke) for _ in letters) for _ in range(n_spoke))
+    d2 = tuple(tuple(rng.randrange(n_loop) for _ in letters) for _ in range(n_spoke))
+    d3 = tuple(tuple(rng.randrange(n_loop) for _ in letters) for _ in range(n_loop))
+    finals = frozenset(y for y in range(n_loop) if rng.random() < 0.4)
+    return LassoAutomaton(Alphabet(letters), d1, d2, d3, rng.randrange(n_spoke), finals)
 
 
 def random_lasso(rng: random.Random, letters: str = "ab", max_spoke: int = 4, max_loop: int = 4) -> Lasso:

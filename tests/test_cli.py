@@ -170,6 +170,30 @@ class TestErrors:
         assert code == 2
         assert "missing d3 row" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rexp", "a", "--word", "c"],
+            ["--lexp", "a@", "--lasso", ":c"],
+            ["--oexp", "a$", "--lasso", ":c"],
+            ["--oexp", "a$", "--lasso", "c:a"],
+        ],
+    )
+    def test_member_letter_outside_alphabet_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "member", *argv, "--alphabet", "ab")
+        assert code == 2
+        assert out == ""
+        assert err == "error: letter 'c' outside alphabet 'ab'\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["member", "--rexp", "a", "--word", "a"], ["split", "--rexp", "a"], ["compile", "--rexp", "a"]]
+    )
+    def test_empty_alphabet_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--alphabet", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alphabet must be nonempty\n"
+
     def test_deep_nesting_is_exit_2(self, capsys):
         code, _, err = run(capsys, "member", "--rexp", "a" * 2000, "--word", "a")
         assert code == 2

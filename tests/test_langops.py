@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_rexp
+from helpers import random_lauto, random_rexp
 from lassokit import langops
 from lassokit import (
     Alphabet,
@@ -33,7 +33,7 @@ from lassokit import (
     run_dfa,
 )
 from lassokit.langops import Dfa, explore
-from lassokit.lassoaut import LassoAutomaton
+from lassokit.lassoaut import LassoAutomaton, loop_dfa
 from lassokit.ratexp import rcat, words_up_to
 from lassokit.syntax import parse_rexp
 
@@ -93,6 +93,14 @@ class TestBoolean:
         with pytest.raises(AlphabetMismatchError):
             boolean_combine(compile_dfa(ZERO, A), compile_dfa(ZERO, AB), "and")
 
+    def test_xor(self):
+        d = boolean_combine(compile_dfa(parse_rexp("a(a+b)*"), AB), compile_dfa(parse_rexp("(a+b)*b"), AB), "xor")
+        assert lang(d, 2) == ["a", "b", "aa", "bb"]
+
+    def test_unknown_op(self):
+        with pytest.raises(ValueError, match="unknown op 'nand'"):
+            boolean_combine(compile_dfa(ZERO, A), compile_dfa(ZERO, A), "nand")
+
 
 class TestComplement:
     def test_involution(self):
@@ -129,6 +137,44 @@ class TestEmptinessEquivalence:
 
     def test_universal(self):
         assert equivalent_dfa(compile_dfa(parse_rexp("(a+b)*")), complement(compile_dfa(ZERO, AB)))[0]
+
+
+def witness_dfas(rng: random.Random, count: int) -> list[Dfa]:
+    """Derivative automata, their products and complements, and the loop
+    DFAs of random lasso automata, whose unreachable states (loop states
+    the switch never enters) are kept."""
+    dfas = []
+    for _ in range(count):
+        d1, d2 = (compile_dfa(random_rexp(rng, "ab", 3), AB) for _ in range(2))
+        dfas += [d1, complement(d1), boolean_combine(d1, d2, rng.choice(["and", "or", "diff", "xor"]))]
+        aut = random_lauto(rng, 2, rng.randint(1, 5))
+        dfas.append(loop_dfa(aut, rng.randrange(aut.n_spoke)))
+    return dfas
+
+
+def first_word(d: Dfa, maxlen: int, accept) -> str | None:
+    """Brute force: the first word of length <= maxlen, in length-lex order, satisfying accept."""
+    return next((w for w in words_up_to(d.alphabet, maxlen) if accept(w)), None)
+
+
+class TestWitnessesAgainstBruteForce:
+    """A shortest accepted word has fewer letters than the automaton has
+    states, and a shortest distinguishing word fewer than the two have
+    together, so enumerating up to those lengths finds the least one."""
+
+    def test_is_empty_dfa(self):
+        rng = random.Random(61)
+        for d in witness_dfas(rng, 60):
+            w = first_word(d, d.n_states, partial(run_dfa, d))
+            assert is_empty_dfa(d) == (w is None, w)
+
+    def test_equivalent_dfa(self):
+        rng = random.Random(67)
+        dfas = witness_dfas(rng, 40)
+        rng.shuffle(dfas)
+        for d1, d2 in zip(dfas[::2], dfas[1::2]):
+            w = first_word(d1, d1.n_states + d2.n_states, lambda w: run_dfa(d1, w) != run_dfa(d2, w))
+            assert equivalent_dfa(d1, d2) == (w is None, w)
 
 
 class TestQuotients:
@@ -266,6 +312,7 @@ CAPPED = {
     "root": ("transformation closure", partial(root, ROTATE_SWAP)),
     "compile_lasso": ("spoke closure", partial(compile_lasso, parse_lexp("(a+b)*a(a+b)(a+b)(a@)"), AB)),
     "equivalent_lasso": ("spoke product", partial(equivalent_lasso, spoke_only(A_MOD_3), spoke_only(B_MOD_2))),
+    "is_empty_dfa": ("emptiness check", partial(is_empty_dfa, compile_dfa(parse_rexp("(a+b)*a(a+b)(a+b)"), AB))),
 }
 
 

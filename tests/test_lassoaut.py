@@ -3,6 +3,7 @@ from collections import defaultdict
 
 import pytest
 
+from helpers import random_lauto
 from lassokit import (
     Alphabet,
     AutomatonFormatError,
@@ -35,15 +36,6 @@ from lassokit.ratexp import words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
-
-
-def random_lauto(rng, n_spoke=3, n_loop=3):
-    letters = ("a", "b")
-    d1 = tuple(tuple(rng.randrange(n_spoke) for _ in letters) for _ in range(n_spoke))
-    d2 = tuple(tuple(rng.randrange(n_loop) for _ in letters) for _ in range(n_spoke))
-    d3 = tuple(tuple(rng.randrange(n_loop) for _ in letters) for _ in range(n_loop))
-    finals = frozenset(y for y in range(n_loop) if rng.random() < 0.4)
-    return LassoAutomaton(Alphabet(letters), d1, d2, d3, rng.randrange(n_spoke), finals)
 
 
 class TestAccepts:

@@ -1,8 +1,9 @@
 """Printed output pinned byte for byte.
 
 `data/text_pins.json` holds the text of lasso and omega expressions, of
-disjunctive forms, of the expressions extracted from automata, and of the
-CLI's answers to ill-formed expressions.  It was recorded before lasso and
+disjunctive forms, of the expressions extracted from automata, of the
+saturation verdicts on automata (whose witnesses are shortest words), and
+of the CLI's answers to ill-formed expressions.  It was recorded before lasso and
 omega expressions came to share one tree, so a change to that tree that
 moves a byte of output fails here.  Re-record only for an intended change
 of output:
@@ -21,7 +22,7 @@ import pytest
 
 from lassokit import Alphabet, read_automaton
 from lassokit.cli import main
-from lassokit.lassoaut import extract_expr, extract_omega_expr
+from lassokit.lassoaut import extract_expr, extract_omega_expr, is_saturated
 from lassokit.lassoexp import compile_lasso, df_to_lexp, df_to_str, disjunctive_form, lexp_to_str, parse_lexp
 from lassokit.omega import h_map, oexp_to_str, parse_oexpr, represent
 
@@ -76,6 +77,12 @@ def _extract_omega(aut) -> str:
         return f"ValueError: {e}"
 
 
+def _verdict(aut) -> str:
+    """The last line of the `saturated` command: `yes` or `no ACC REJ`."""
+    sat, pair = is_saturated(aut)
+    return "yes" if sat else f"no {pair[0]} {pair[1]}"
+
+
 def _cli(argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -95,6 +102,7 @@ def render() -> dict[str, dict[str, object]]:
         "represent": {t: df_to_str(represent(parse_oexpr(t), _alphabet(t))) for t in sorted(PIPELINE)},
         "extract": {name: lexp_to_str(extract_expr(aut)) for name, aut in auts.items()},
         "extract_omega": {name: _extract_omega(aut) for name, aut in auts.items()},
+        "saturated": {name: _verdict(aut) for name, aut in auts.items()},
         "cli": {" ".join(argv): _cli(argv) for argv in CLI_CASES},
     }
 
