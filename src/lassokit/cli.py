@@ -277,10 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, alphabet=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--alphabet", help="alphabet override, e.g. 'ab' (default: letters in the inputs)")
+        if alphabet:  # only the commands that read expressions take an alphabet
+            p.add_argument("--alphabet", help="alphabet override, e.g. 'ab' (default: letters in the inputs)")
         return p
 
     p = add("member", cmd_member, "decide membership of a word or lasso")
@@ -290,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="finite word (for --rexp); may be empty")
     p.add_argument("--lasso", help="lasso literal spoke:loop (for --lexp/--oexp)")
 
-    p = add("nf", cmd_nf, "normal form of a lasso")
+    p = add("nf", cmd_nf, "normal form of a lasso", alphabet=False)
     p.add_argument("lasso", help="lasso literal spoke:loop")
 
-    p = add("equiv-lasso", cmd_equiv_lasso, "do two lassos denote the same word?")
+    p = add("equiv-lasso", cmd_equiv_lasso, "do two lassos denote the same word?", alphabet=False)
     p.add_argument("lasso1")
     p.add_argument("lasso2")
 
@@ -302,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexp", help="lasso expression (to lasso automaton)")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
-    p = add("extract", cmd_extract, "lasso expression of an automaton file")
+    p = add("extract", cmd_extract, "lasso expression of an automaton file", alphabet=False)
     p.add_argument("file")
 
-    p = add("extract-omega", cmd_extract_omega, "omega expression of a saturated automaton file")
+    p = add("extract-omega", cmd_extract_omega, "omega expression of a saturated automaton file", alphabet=False)
     p.add_argument("file")
 
-    p = add("saturated", cmd_saturated, "is the automaton saturated?")
+    p = add("saturated", cmd_saturated, "is the automaton saturated?", alphabet=False)
     p.add_argument("file")
 
     p = add("convert", cmd_convert, "convert an omega expression to a lasso form")

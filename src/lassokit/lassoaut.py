@@ -23,6 +23,7 @@ from .langops import (
     explore,
     is_empty_dfa,
     left_derivative,
+    minimize_dfa,
     right_quotient,
     root,
 )
@@ -155,15 +156,72 @@ def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lass
     return (best is None, best)
 
 
-def _power_witness(d: Dfa, w: str, want_final: bool) -> int:
-    """Least k >= 2 such that membership of w^k in L(d) matches want_final."""
+def _power_witness(d: Dfa, w: str, want_final: bool) -> int | None:
+    """Least k >= 2 such that membership of w^k in L(d) matches want_final,
+    or None if there is none (the orbit of w repeats within n_states + 1 powers)."""
     q = d.initial
     for k in range(1, d.n_states + 2):
         for a in w:
             q = d.step(q, a)
         if k >= 2 and (q in d.finals) == want_final:
             return k
-    raise AssertionError("power witness not found within the orbit bound")
+    return None
+
+
+def _pair_size(pair: tuple[Lasso, Lasso]) -> int:
+    a, b = pair
+    return len(a.spoke) + len(a.loop) + len(b.spoke) + len(b.loop)
+
+
+def _rotation_pairs(aut: LassoAutomaton, loop_dfas: dict[int, Dfa], x: int, u: str) -> list[tuple[Lasso, Lasso]]:
+    """Failures of the letter rotation condition at spoke state x, one
+    (accepted, rejected) pair per failing letter, in alphabet order."""
+    pairs = []
+    for ai, a in enumerate(aut.alphabet.letters):
+        eq, w = equivalent_dfa(left_derivative(loop_dfas[x], a), right_quotient(loop_dfas[aut.d1[x][ai]], a))
+        if not eq:
+            reduct, expanded = Lasso(u, a + w), Lasso(u + a, w + a)
+            pairs.append((reduct, expanded) if accepts(aut, reduct) else (expanded, reduct))
+    return pairs
+
+
+def _short_orbit_witnesses(px: Dfa, max_len: int) -> tuple[tuple[str, int] | None, tuple[str, int] | None]:
+    """The collapse and the power witness of P_x no longer than max_len, each
+    as (length-lex least word w, least k >= 2) or None.
+
+    A collapse witness is a word outside P_x with a power inside, a power
+    witness a word inside P_x with a power outside.  Both depend only on
+    the transformation a word induces on the minimal DFA of P_x, so the
+    transformations are explored breadth-first to depth max_len and only
+    the first word of each is tested: the access words come in length-lex
+    order, so the first hit is the least witness.
+    """
+    d = minimize_dfa(px)
+    letter_funcs = list(zip(*d.trans))
+    depth: dict[tuple[int, ...] | None, int] = {None: 0}
+
+    # state None is the empty word; f followed by letter a acts as x -> a(f(x))
+    def successors(f: tuple[int, ...] | None):
+        if depth[f] >= max_len:
+            return ()
+        gs = letter_funcs if f is None else [tuple(g[x] for x in f) for g in letter_funcs]
+        for g in gs:
+            depth.setdefault(g, depth[f] + 1)
+        return gs
+
+    index, rows = explore([None], successors, "transformation closure")
+    found: dict[bool, tuple[str, int]] = {}  # keyed by w in P_x: False collapse, True power
+    for f, w in zip(index, access_words(rows, d.alphabet.letters)):
+        if f is None:
+            continue
+        inside = f[d.initial] in d.finals
+        if inside not in found:
+            k = _power_witness(px, w, want_final=not inside)
+            if k is not None:
+                found[inside] = (w, k)
+                if len(found) == 2:
+                    break
+    return found.get(False), found.get(True)
 
 
 def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:
@@ -188,38 +246,43 @@ def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]
     from the shortest failing witness, minimizing total length over all
     failures (ties: first in scan order -- spoke states in BFS order, the
     rotation check per letter, then collapse, then power).
+
+    The rotation condition is checked first at every spoke state.  If it
+    fails anywhere, let B be the size of its smallest pair.  A collapse or
+    power pair at x built from the word w has size 2|u| + (k+1)|w| with
+    k >= 2, at least 2|u| + 3|w|, so only a witness with
+    |w| <= (B - 2|u|) // 3 can win or tie, and the search for it stops at
+    that length: its first hit is the least witness, the same word the
+    root construction finds, and a longer least witness could only give a
+    larger pair than B.  So no root is built on an automaton that fails
+    the rotation condition; the roots of P_x and of its complement are
+    built only when it holds everywhere, which includes every saturated
+    automaton.
     """
     access = _spoke_access_words(aut)
     loop_dfas = {x: loop_dfa(aut, x) for x in access}
+    rotations = {x: _rotation_pairs(aut, loop_dfas, x, u) for x, u in access.items()}
+    best_rotation = min((_pair_size(p) for pairs in rotations.values() for p in pairs), default=None)
     candidates: list[tuple[Lasso, Lasso]] = []
     for x, u in access.items():
         px = loop_dfas[x]
-        for ai, a in enumerate(aut.alphabet.letters):
-            x2 = aut.d1[x][ai]
-            eq, w = equivalent_dfa(left_derivative(px, a), right_quotient(loop_dfas[x2], a))
-            if not eq:
-                reduct = Lasso(u, a + w)
-                expanded = Lasso(u + a, w + a)
-                if accepts(aut, reduct):
-                    candidates.append((reduct, expanded))
-                else:
-                    candidates.append((expanded, reduct))
-        empty, w = is_empty_dfa(boolean_combine(root(px), px, "diff"))
-        if not empty:
-            k = _power_witness(px, w, want_final=True)
+        candidates += rotations[x]
+        if best_rotation is not None:
+            collapse, power = _short_orbit_witnesses(px, (best_rotation - 2 * len(u)) // 3)
+        else:
+            empty, w = is_empty_dfa(boolean_combine(root(px), px, "diff"))
+            collapse = None if empty else (w, _power_witness(px, w, want_final=True))
+            empty, w = is_empty_dfa(boolean_combine(px, root(complement(px)), "and"))
+            power = None if empty else (w, _power_witness(px, w, want_final=False))
+        if collapse is not None:
+            w, k = collapse
             candidates.append((Lasso(u, w * k), Lasso(u, w)))
-        empty, w = is_empty_dfa(boolean_combine(px, root(complement(px)), "and"))
-        if not empty:
-            k = _power_witness(px, w, want_final=False)
+        if power is not None:
+            w, k = power
             candidates.append((Lasso(u, w), Lasso(u, w * k)))
     if not candidates:
         return (True, None)
-
-    def size(pair: tuple[Lasso, Lasso]) -> int:
-        a, b = pair
-        return len(a.spoke) + len(a.loop) + len(b.spoke) + len(b.loop)
-
-    return (False, min(candidates, key=size))
+    return (False, min(candidates, key=_pair_size))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,16 @@ from __future__ import annotations
 
 import random
 
-from lassokit.lassoaut import LassoAutomaton
+from lassokit.langops import (
+    boolean_combine,
+    complement,
+    equivalent_dfa,
+    is_empty_dfa,
+    left_derivative,
+    right_quotient,
+    root,
+)
+from lassokit.lassoaut import LassoAutomaton, _power_witness, _spoke_access_words, accepts, loop_dfa
 from lassokit.lassoexp import Circle, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
 from lassokit.omega import OPrefix, OSum, OZERO, OmegaExpr, OmegaPower
@@ -70,6 +79,48 @@ def deriv_raw_oracle(t: RatExpr, a: str) -> RatExpr:
     raise TypeError(f"not a rational expression: {t!r}")
 
 
+def is_saturated_oracle(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:
+    """Saturation check that builds root(P_x) and root(complement(P_x)) at
+    every reachable spoke state x, whatever the rotation check found.
+
+    `lassoaut.is_saturated` skips the roots when a rotation failure bounds
+    the size of the answer; the two must return the same verdict and pair.
+    """
+    access = _spoke_access_words(aut)
+    loop_dfas = {x: loop_dfa(aut, x) for x in access}
+    candidates: list[tuple[Lasso, Lasso]] = []
+    for x, u in access.items():
+        px = loop_dfas[x]
+        for ai, a in enumerate(aut.alphabet.letters):
+            x2 = aut.d1[x][ai]
+            eq, w = equivalent_dfa(left_derivative(px, a), right_quotient(loop_dfas[x2], a))
+            if not eq:
+                reduct = Lasso(u, a + w)
+                expanded = Lasso(u + a, w + a)
+                if accepts(aut, reduct):
+                    candidates.append((reduct, expanded))
+                else:
+                    candidates.append((expanded, reduct))
+        empty, w = is_empty_dfa(boolean_combine(root(px), px, "diff"))
+        if not empty:
+            k = _power_witness(px, w, want_final=True)
+            assert k is not None, "power witness not found within the orbit bound"
+            candidates.append((Lasso(u, w * k), Lasso(u, w)))
+        empty, w = is_empty_dfa(boolean_combine(px, root(complement(px)), "and"))
+        if not empty:
+            k = _power_witness(px, w, want_final=False)
+            assert k is not None, "power witness not found within the orbit bound"
+            candidates.append((Lasso(u, w), Lasso(u, w * k)))
+    if not candidates:
+        return (True, None)
+
+    def size(pair: tuple[Lasso, Lasso]) -> int:
+        a, b = pair
+        return len(a.spoke) + len(a.loop) + len(b.spoke) + len(b.loop)
+
+    return (False, min(candidates, key=size))
+
+
 def random_rexp_no_ewp(rng: random.Random, letters: str = "ab", depth: int = 2) -> RatExpr:
     """Random expression without the empty word property (loop bodies)."""
     for _ in range(50):
@@ -105,13 +156,12 @@ def random_oexp(rng: random.Random, letters: str = "ab", depth: int = 3) -> Omeg
     return OSum(random_oexp(rng, letters, depth - 1), random_oexp(rng, letters, depth - 1))
 
 
-def random_lauto(rng: random.Random, n_spoke: int = 3, n_loop: int = 3) -> LassoAutomaton:
-    letters = ("a", "b")
+def random_lauto(rng: random.Random, n_spoke: int = 3, n_loop: int = 3, letters: str = "ab") -> LassoAutomaton:
     d1 = tuple(tuple(rng.randrange(n_spoke) for _ in letters) for _ in range(n_spoke))
     d2 = tuple(tuple(rng.randrange(n_loop) for _ in letters) for _ in range(n_spoke))
     d3 = tuple(tuple(rng.randrange(n_loop) for _ in letters) for _ in range(n_loop))
     finals = frozenset(y for y in range(n_loop) if rng.random() < 0.4)
-    return LassoAutomaton(Alphabet(letters), d1, d2, d3, rng.randrange(n_spoke), finals)
+    return LassoAutomaton(Alphabet(tuple(letters)), d1, d2, d3, rng.randrange(n_spoke), finals)
 
 
 def random_lasso(rng: random.Random, letters: str = "ab", max_spoke: int = 4, max_loop: int = 4) -> Lasso:

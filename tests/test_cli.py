@@ -7,6 +7,7 @@ from lassokit.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.lauto")
 FIG2 = str(DATA / "fig2.lauto")
+BIG_UNSATURATED = str(DATA / "big_unsaturated.lauto")
 
 
 def run(capsys, *argv):
@@ -49,6 +50,13 @@ class TestDecisions:
         code, out, _ = run(capsys, "saturated", FIG2)
         assert code == 0
         assert last_line(out) == "yes"
+
+    def test_saturated_answers_past_root_cap(self, capsys):
+        # the roots of this automaton's loop languages exceed the state cap;
+        # its rotation failure bounds the answer, so no root is needed
+        code, out, _ = run(capsys, "saturated", BIG_UNSATURATED)
+        assert code == 1
+        assert last_line(out) == "no :bb :b"
 
     def test_equiv_lasso(self, capsys):
         code, out, _ = run(capsys, "equiv-lasso", ":b", "b:b")
@@ -193,6 +201,24 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err == "error: alphabet must be nonempty\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nf", "a:b"],
+            ["equiv-lasso", ":b", "b:b"],
+            ["saturated", FIG1],
+            ["extract", FIG1],
+            ["extract-omega", FIG2],
+        ],
+    )
+    def test_alphabet_rejected_where_unread(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alphabet", "xyz"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --alphabet xyz" in out.err
 
     def test_deep_nesting_is_exit_2(self, capsys):
         code, _, err = run(capsys, "member", "--rexp", "a" * 2000, "--word", "a")

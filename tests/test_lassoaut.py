@@ -2,8 +2,10 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_lauto
+from helpers import is_saturated_oracle, random_lauto
+from lassokit import lassoaut
 from lassokit import (
     Alphabet,
     AutomatonFormatError,
@@ -31,6 +33,7 @@ from lassokit import (
     up_member,
     write_automaton,
 )
+from lassokit.lassos import up_equal
 from lassokit.omega import OZERO, omega_to_omega_automaton
 from lassokit.ratexp import words_up_to
 from lassokit.syntax import parse_rexp
@@ -230,6 +233,49 @@ class TestSaturation:
                 acc, rej = pair
                 assert gamma_equiv(acc, rej)
                 assert accepts(aut, acc) and not accepts(aut, rej)
+
+    @given(st.randoms(use_true_random=False), st.sampled_from([("ab", 6), ("abc", 5)]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle(self, rng, letters_and_max_loop):
+        # With n loop states a root explores at most |letters| * (n^n + 1) + 1
+        # transformations (a word's first letter and the rest's action on the
+        # loop states decide its action), under the state cap at these sizes;
+        # a capped oracle would fail the test, not skip it.
+        letters, max_loop = letters_and_max_loop
+        aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, max_loop), letters)
+        assert is_saturated(aut) == is_saturated_oracle(aut)
+
+    def test_orbit_pair_ties_rotation_pair(self):
+        # the power pair (a:b, a:bb) at the second spoke state in scan order
+        # has size 5, as has the smallest rotation pair (bb:b, b:b) at the
+        # third: the bounded search must reach the tie, which scan order wins
+        aut = LassoAutomaton(
+            AB,
+            d1=((0, 1), (3, 1), (0, 1), (2, 0)),
+            d2=((0, 7), (5, 3), (0, 3), (2, 6)),
+            d3=((4, 2), (0, 5), (4, 7), (2, 2), (1, 7), (5, 3), (2, 2), (4, 4)),
+            initial=3,
+            finals=frozenset({3, 5}),
+        )
+        expected = (False, (Lasso("a", "b"), Lasso("a", "bb")))
+        assert is_saturated(aut) == is_saturated_oracle(aut) == expected
+
+    def test_rotation_failure_builds_no_root(self, monkeypatch):
+        # automata the size of the benchmark's check-only items; on 8 of
+        # these 10 the roots exceed the state cap.  A rotation failure bounds
+        # the answer, so the check must answer without building a root.
+        def no_root(d):
+            raise AssertionError("root built")
+
+        monkeypatch.setattr(lassoaut, "root", no_root)
+        rng = random.Random(73)
+        for _ in range(10):
+            aut = random_lauto(rng, rng.randint(2, 4), rng.randint(20, 24))
+            sat, pair = is_saturated(aut)
+            assert not sat
+            acc, rej = pair
+            assert accepts(aut, acc) and not accepts(aut, rej)
+            assert gamma_equiv(acc, rej) and up_equal(acc, rej)
 
 
 class TestFileFormat:
