@@ -250,6 +250,8 @@ def cmd_dot(args) -> int:
     sources = [args.file is not None, args.rexp is not None, args.lexp is not None]
     if sum(sources) != 1:
         raise ParseError("dot needs exactly one of FILE/--rexp/--lexp")
+    if args.file is not None and args.alphabet is not None:
+        raise ParseError("dot FILE takes its alphabet from the file; --alphabet goes with --rexp/--lexp")
     alphabet = _alphabet_arg(args)
     if args.file is not None:
         _emit(lasso_to_dot(_read_automaton_file(args.file)), args.output)

@@ -120,20 +120,25 @@ def compile_dfa(t: RatExpr, alphabet: Alphabet | None = None) -> Dfa:
 def minimize_dfa(d: Dfa) -> Dfa:
     """Moore partition refinement on the reachable part; language-preserving.
 
+    Each round works column by column: a state's signature is its class
+    together with the classes of its successors, one column per letter,
+    and equal signatures form one class of the next round.  A round only
+    splits classes, so a round that keeps the class count keeps the
+    partition, which is then stable: the rounds stop there.
+
     The result is canonical: states are numbered breadth-first from the
     initial state, so two DFAs for the same language minimize to equal
     `Dfa`s."""
     index, rows = explore([d.initial], d.trans.__getitem__, "minimization")
+    cols = list(zip(*rows))
     cls = [1 if q in d.finals else 0 for q in index]
+    count = len(set(cls))
     while True:
         sig: dict[tuple, int] = {}
-        new = []
-        for q, row in enumerate(rows):
-            s = (cls[q],) + tuple(cls[t] for t in row)
-            new.append(sig.setdefault(s, len(sig)))
-        if new == cls:
+        cls = [sig.setdefault(s, len(sig)) for s in zip(cls, *([cls[t] for t in col] for col in cols))]
+        if len(sig) == count:
             break
-        cls = new
+        count = len(sig)
     # classes are numbered by first member in the breadth-first order of
     # the states, which is the breadth-first numbering of the quotient;
     # all members of a class step into the same classes

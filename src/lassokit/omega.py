@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificationError
-from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, root
+from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, minimize_dfa, root
 # the omega expression tree is lassoexp's tailed-expression tree; its
 # public names are re-exported here
 from .lassoexp import (
@@ -215,6 +215,13 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     back to an expression, so the expression grammar stays plain.  Pairs
     with an empty loop language are dropped.
 
+    Two caches, both per call: the triple (t1, s1, s0) maps to the
+    minimal DFA of (t1 ∩ s1)·s0, and that DFA maps to the loop
+    expression.  Many triples denote one language, and a minimal DFA is
+    canonical, so `root` and `dfa_to_expr` run once per language.  Both
+    minimize their input first, so keying by the minimal DFA gives every
+    triple the expression its own DFA would give.
+
     Applied to an expansion-closed input (such as h_map output) the
     result is saturated; on arbitrary inputs a single application need
     not be.
@@ -229,20 +236,25 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
             dfas[e] = compile_dfa(e, alphabet)
         return dfas[e]
 
-    loop_cache: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
+    language: dict[tuple[RatExpr, RatExpr, RatExpr], Dfa | None] = {}
+    # an empty intersection is keyed None and has no loop expression
+    loop_cache: dict[Dfa | None, RatExpr | None] = {None: None}
     pairs = []
     for t, s in df.pairs:
         s_splits = split(s)
         for t0, t1 in split(t):
             for s0, s1 in s_splits:
                 key = (t1, s1, s0)
-                if key not in loop_cache:
+                if key not in language:
                     # the product and root's minimal result hold only
                     # reachable states: each is empty iff it has no finals
                     inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
-                    rt = root(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
-                    loop_cache[key] = dfa_to_expr(rt) if rt is not None and rt.finals else None
-                loop = loop_cache[key]
+                    language[key] = minimize_dfa(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
+                lang = language[key]
+                if lang not in loop_cache:
+                    rt = root(lang)
+                    loop_cache[lang] = dfa_to_expr(rt) if rt.finals else None
+                loop = loop_cache[lang]
                 if loop is not None:
                     pairs.append((t0, loop))
     return DisjunctiveForm(tuple(pairs))

@@ -9,9 +9,11 @@ from __future__ import annotations
 import random
 
 from lassokit.langops import (
+    Dfa,
     boolean_combine,
     complement,
     equivalent_dfa,
+    explore,
     is_empty_dfa,
     left_derivative,
     right_quotient,
@@ -77,6 +79,31 @@ def deriv_raw_oracle(t: RatExpr, a: str) -> RatExpr:
         case Star(x):
             return Concat(deriv_raw_oracle(x, a), t)
     raise TypeError(f"not a rational expression: {t!r}")
+
+
+def minimize_dfa_oracle(d: Dfa) -> Dfa:
+    """Moore partition refinement with one signature tuple per state, run
+    until the class numbering repeats.
+
+    `langops.minimize_dfa` builds the signatures column by column and
+    stops when the class count stops growing; the two must return equal
+    `Dfa`s, classes numbered by first member in breadth-first order.
+    """
+    index, rows = explore([d.initial], d.trans.__getitem__, "minimization")
+    cls = [1 if q in d.finals else 0 for q in index]
+    while True:
+        sig: dict[tuple, int] = {}
+        new = []
+        for q, row in enumerate(rows):
+            s = (cls[q],) + tuple(cls[t] for t in row)
+            new.append(sig.setdefault(s, len(sig)))
+        if new == cls:
+            break
+        cls = new
+    member = {c: q for q, c in enumerate(cls)}
+    class_rows = tuple(tuple(cls[t] for t in rows[member[c]]) for c in range(len(member)))
+    finals = frozenset(cls[index[q]] for q in d.finals if q in index)
+    return Dfa(d.alphabet, class_rows, 0, finals)
 
 
 def is_saturated_oracle(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:

@@ -220,6 +220,16 @@ class TestErrors:
         assert out.out == ""
         assert "unrecognized arguments: --alphabet xyz" in out.err
 
+    def test_dot_file_rejects_alphabet(self, capsys):
+        # the automaton file carries its own alphabet
+        code, out, err = run(capsys, "dot", FIG1, "--alphabet", "xyz")
+        assert code == 2
+        assert out == ""
+        assert err == "error: dot FILE takes its alphabet from the file; --alphabet goes with --rexp/--lexp\n"
+        code, out, _ = run(capsys, "dot", "--rexp", "a", "--alphabet", "ab")
+        assert code == 0
+        assert "->" in out
+
     def test_deep_nesting_is_exit_2(self, capsys):
         code, _, err = run(capsys, "member", "--rexp", "a" * 2000, "--word", "a")
         assert code == 2

@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_lauto, random_rexp
+from helpers import minimize_dfa_oracle, random_lauto, random_rexp
 from lassokit import langops
 from lassokit import (
     Alphabet,
@@ -384,6 +384,20 @@ class TestMinimize:
             assert minimize_dfa(renumbered(d, rng)) == m
             assert minimize_dfa(m) == m
             assert m.n_states == residual_count(d)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle(self, data):
+        letters = "abc"[: data.draw(st.integers(1, 3))]
+        n = data.draw(st.integers(1, 30))
+        state = st.integers(0, n - 1)
+        trans = data.draw(st.lists(st.tuples(*[state] * len(letters)), min_size=n, max_size=n))
+        # random finals, and the all-final and no-final cases, whose
+        # first round starts from one class
+        finals = data.draw(st.one_of(st.frozensets(state), st.just(frozenset(range(n))), st.just(frozenset())))
+        # states not reachable from the initial one are common at these sizes
+        d = Dfa(Alphabet(tuple(letters)), tuple(trans), data.draw(state), finals)
+        assert minimize_dfa(d) == minimize_dfa_oracle(d)
 
 
 def renumbered(d: Dfa, rng: random.Random) -> Dfa:

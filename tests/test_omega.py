@@ -33,8 +33,10 @@ from lassokit import (
     to_nba,
     up_member,
 )
-from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, root
+from lassokit import omega
+from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, minimize_dfa, root
 from lassokit.lassoaut import extract_omega_expr, write_automaton
+from lassokit.lassoexp import df_to_str
 from lassokit.ratexp import Letter, ONE, rcat, split
 from lassokit.syntax import parse_rexp
 
@@ -45,6 +47,11 @@ CORPUS = ["a$", "(ab)$", "a(ba)$", "(a+b)*a$", "(aa)$+b((ab)$)", "b(a+b*)(a$)"]
 # expression -> `write_automaton` text of its pipeline output, recorded
 # before terms cached their hashes, normal forms and sort keys
 PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "pipeline_automata.json").read_text())
+# expression over ab -> {"automaton": `write_automaton` text of its pipeline
+# output, "represent": `df_to_str` of its disjunctive form}, recorded before
+# gamma_map cached loop expressions by language; kept out of PINNED, whose
+# every automaton test_text_pins.py also extracts, which is slow on these
+HARD_PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "hard_pipeline_automata.json").read_text())
 
 
 class TestParse:
@@ -294,6 +301,24 @@ class TestGammaMap:
 
 
 class TestRepresent:
+    @pytest.mark.parametrize(
+        "text, languages", [("(a+b)*(aab+bba)$", 40), ("(ab+ba)*(a+bb)$", 52), ("a(b+ab)$+b(a+bb)$", 62)]
+    )
+    def test_one_root_per_loop_language(self, monkeypatch, text, languages):
+        # `languages` counts the distinct minimal DFAs of (t1 ∩ s1)·s0 over
+        # the nonempty intersections, measured by minimizing what the
+        # triple-keyed gamma_map passed to root (430, 229 and 256 calls)
+        inputs = []
+
+        def counting_root(d):
+            inputs.append(d)
+            return root(d)
+
+        monkeypatch.setattr(omega, "root", counting_root)
+        represent(parse_oexpr(text), AB)
+        assert len(inputs) == len(set(inputs)) == languages
+        assert all(minimize_dfa(d) == d for d in inputs)
+
     def test_a_power_grid(self):
         r = represent(parse_oexpr("a$"))
         for i in range(4):
@@ -354,3 +379,9 @@ class TestPipeline:
 
     def test_pinned_cover_the_corpus(self):
         assert set(CORPUS) | {"a(b+ab)$+b(a+bb)$"} == set(PINNED)
+
+    @pytest.mark.parametrize("text", sorted(HARD_PINNED))
+    def test_hard_output_pinned_byte_for_byte(self, text):
+        T = parse_oexpr(text)
+        assert write_automaton(omega_to_omega_automaton(T, AB)) == HARD_PINNED[text]["automaton"]
+        assert df_to_str(represent(T, AB)) == HARD_PINNED[text]["represent"]
