@@ -11,6 +11,7 @@ which is a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -266,7 +267,10 @@ def cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It binds no command
+    function: `main` looks up `cmd_<command>` when it is called."""
     parser = argparse.ArgumentParser(
         prog="lassokit",
         description=(
@@ -279,53 +283,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, alphabet=True):
+    def add(name, help_text, alphabet=True):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         if alphabet:  # only the commands that read expressions take an alphabet
             p.add_argument("--alphabet", help="alphabet override, e.g. 'ab' (default: letters in the inputs)")
         return p
 
-    p = add("member", cmd_member, "decide membership of a word or lasso")
+    p = add("member", "decide membership of a word or lasso")
     p.add_argument("--rexp", help="rational expression")
     p.add_argument("--lexp", help="lasso expression")
     p.add_argument("--oexp", help="omega expression")
     p.add_argument("--word", help="finite word (for --rexp); may be empty")
     p.add_argument("--lasso", help="lasso literal spoke:loop (for --lexp/--oexp)")
 
-    p = add("nf", cmd_nf, "normal form of a lasso", alphabet=False)
+    p = add("nf", "normal form of a lasso", alphabet=False)
     p.add_argument("lasso", help="lasso literal spoke:loop")
 
-    p = add("equiv-lasso", cmd_equiv_lasso, "do two lassos denote the same word?", alphabet=False)
+    p = add("equiv-lasso", "do two lassos denote the same word?", alphabet=False)
     p.add_argument("lasso1")
     p.add_argument("lasso2")
 
-    p = add("compile", cmd_compile, "compile an expression to an automaton file")
+    p = add("compile", "compile an expression to an automaton file")
     p.add_argument("--rexp", help="rational expression (to DFA)")
     p.add_argument("--lexp", help="lasso expression (to lasso automaton)")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
-    p = add("extract", cmd_extract, "lasso expression of an automaton file", alphabet=False)
+    p = add("extract", "lasso expression of an automaton file", alphabet=False)
     p.add_argument("file")
 
-    p = add("extract-omega", cmd_extract_omega, "omega expression of a saturated automaton file", alphabet=False)
+    p = add("extract-omega", "omega expression of a saturated automaton file", alphabet=False)
     p.add_argument("file")
 
-    p = add("saturated", cmd_saturated, "is the automaton saturated?", alphabet=False)
+    p = add("saturated", "is the automaton saturated?", alphabet=False)
     p.add_argument("file")
 
-    p = add("convert", cmd_convert, "convert an omega expression to a lasso form")
+    p = add("convert", "convert an omega expression to a lasso form")
     p.add_argument("--oexp", required=True, help="omega expression")
     p.add_argument("--to", choices=["df", "automaton"], default="df")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
-    p = add("split", cmd_split, "sequential splits of a rational expression")
+    p = add("split", "sequential splits of a rational expression")
     p.add_argument("--rexp", required=True)
 
-    p = add("root", cmd_root, "expression for the root of a rational language")
+    p = add("root", "expression for the root of a rational language")
     p.add_argument("--rexp", required=True)
 
-    p = add("enumerate", cmd_enumerate, "list accepted words or lassos up to a bound")
+    p = add("enumerate", "list accepted words or lassos up to a bound")
     p.add_argument("--rexp")
     p.add_argument("--lexp")
     p.add_argument("--oexp")
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-spoke", type=int, default=3)
     p.add_argument("--max-loop", type=int, default=3)
 
-    p = add("dot", cmd_dot, "DOT rendering of an automaton")
+    p = add("dot", "DOT rendering of an automaton")
     p.add_argument("file", nargs="?", help="lasso automaton file")
     p.add_argument("--rexp")
     p.add_argument("--lexp")
@@ -344,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except (
         ParseError,
         NullableLoopError,

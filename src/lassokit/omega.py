@@ -12,13 +12,18 @@ which compilation yields a saturated automaton.
 
 The oracle (`to_nba`/`up_member`) goes through a nondeterministic Buchi
 automaton and shares nothing with the lasso machinery, so pipeline bugs
-cannot cancel out in the tests.
+cannot cancel out in the tests.  For each pair of an automaton and a
+loop word, one strongly-connected-components pass (Tarjan, "Depth-first
+search and linear graph algorithms", 1972) over the automaton's states
+times the loop's positions finds the states from which the loop's omega
+power is accepted; `up_member` runs the spoke and meets that set, so
+every spoke with the same loop shares the pass.  The sets are kept in
+an `lru_cache` of `LOOP_CACHE_SIZE` entries; `to_nba` is unbounded.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CertificationError
@@ -64,6 +69,15 @@ class Nba:
     transitions: frozenset[tuple[int, str, int]]
     initials: frozenset[int]
     accepting: frozenset[int]
+    # (state, letter) -> successor states, derived from `transitions`; not
+    # part of equality, hash or repr
+    succ: dict[tuple[int, str], frozenset[int]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        succ: dict[tuple[int, str], set[int]] = {}
+        for p, a, q in self.transitions:
+            succ.setdefault((p, a), set()).add(q)
+        object.__setattr__(self, "succ", {k: frozenset(v) for k, v in succ.items()})
 
 
 @lru_cache(maxsize=None)
@@ -128,60 +142,84 @@ def to_nba(T: OmegaExpr, alphabet: Alphabet | None = None) -> Nba:
     raise TypeError(f"not an omega expression: {T!r}")
 
 
-@lru_cache(maxsize=None)
-def _succ_map(nba: Nba) -> dict[tuple[int, str], frozenset[int]]:
-    out: dict[tuple[int, str], set[int]] = {}
-    for p, a, q in nba.transitions:
-        out.setdefault((p, a), set()).add(q)
-    return {k: frozenset(v) for k, v in out.items()}
+# (NBA, loop word) pairs whose accepting states `_loop_accepting` keeps
+LOOP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=LOOP_CACHE_SIZE)
+def _loop_accepting(nba: Nba, loop: str) -> frozenset[int]:
+    """The states of the NBA from which it accepts loop^ω.
+
+    One Tarjan pass over the product of the states with the loop's
+    positions, node q·m + j for state q at position j.  Components come
+    out sinks first, so when one is complete the components it reaches
+    are already known.  A node is good when its component holds an
+    accepting state and an edge inside it (an accepting node on a cycle),
+    or when it has an edge into a good node.  The answer is read at
+    position 0.
+    """
+    m = len(loop)
+    edges: dict[int, list[int]] = {}
+
+    def successors(v: int) -> list[int]:
+        q, j = divmod(v, m)
+        nxt = (j + 1) % m
+        edges[v] = [p * m + nxt for p in nba.succ.get((q, loop[j]), ())]
+        return edges[v]
+
+    number: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    finished: set[int] = set()  # nodes of completed components
+    good: set[int] = set()
+    for start in range(0, nba.n_states * m, m):
+        if start in number:
+            continue
+        number[start] = low[start] = len(number)
+        stack.append(start)
+        path = [(start, iter(successors(start)))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if w not in number:
+                    number[w] = low[w] = len(number)
+                    stack.append(w)
+                    path.append((w, iter(successors(w))))
+                    break
+                if w not in finished:
+                    low[v] = min(low[v], number[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] != number[v]:
+                    continue
+                i = stack.index(v)
+                component = stack[i:]
+                del stack[i:]
+                finished.update(component)
+                members = set(component)
+                inner = any(w in members for u in component for w in edges[u])
+                if (inner and any(u // m in nba.accepting for u in component)) or any(
+                    w in good for u in component for w in edges[u]
+                ):
+                    good.update(component)
+    return frozenset(q for q in range(nba.n_states) if q * m in good)
 
 
 def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
     """Does the ultimately periodic word of the lasso lie in the omega
-    language of T?  Decided on the product of the Buchi automaton with the
-    lasso's positions: accept iff some accepting product node reachable
-    after the spoke lies on a cycle."""
+    language of T?  Decided on the Buchi automaton: the states reached
+    after the spoke must meet those from which the loop's omega power is
+    accepted (`_loop_accepting`)."""
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
-    succ = _succ_map(nba)
-    cur = set(nba.initials)
+    cur = nba.initials
     for a in l.spoke:
-        cur = {q for p in cur for q in succ.get((p, a), ())}
+        cur = {q for p in cur for q in nba.succ.get((p, a), ())}
         if not cur:
             return False
-    m = len(l.loop)
-
-    def node_succ(node: tuple[int, int]):
-        q, j = node
-        return [(q2, (j + 1) % m) for q2 in succ.get((q, l.loop[j]), ())]
-
-    start = {(q, 0) for q in cur}
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        node = queue.popleft()
-        for nxt in node_succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    for node in seen:
-        if node[0] not in nba.accepting:
-            continue
-        # is this accepting node on a (nonempty) cycle?
-        visited: set[tuple[int, int]] = set()
-        stack = node_succ(node)
-        on_cycle = False
-        while stack:
-            cand = stack.pop()
-            if cand == node:
-                on_cycle = True
-                break
-            if cand in visited:
-                continue
-            visited.add(cand)
-            stack.extend(node_succ(cand))
-        if on_cycle:
-            return True
-    return False
+    return not _loop_accepting(nba, l.loop).isdisjoint(cur)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The term algebra is the usual one (0, 1, letters, concatenation, union,
 star).  Terms are immutable and hashable, which lets normalized terms
 serve directly as automaton states.  `member_naive` is a deliberately
 derivative-free membership oracle used to cross-check everything built
-on top of `deriv`.
+on top of `deriv`.  `enumerate_language` lists a language up to a length
+without it, bottom-up over the term, and is cross-checked against it.
 
 Each term caches four values derived from its fields the first time
 they are asked for: its hash, its `normalize_b` normal form, its
@@ -19,7 +20,8 @@ they are asked for: its hash, its `normalize_b` normal form, its
   on the input and marks the result as normal.
 
 These caches are freed with their terms.  `deriv` and `_member` are
-unbounded module-level `lru_cache`s and keep every term they see.
+unbounded module-level `lru_cache`s and keep every term they see;
+`_member` serves only `member_naive`.
 
 Derivatives are built directly in normal form (Owens, Reppy & Turon,
 "Regular-expression derivatives re-examined", 2009).  `deriv` normalizes
@@ -457,10 +459,57 @@ def words_up_to(alphabet: Alphabet, maxlen: int) -> Iterator[str]:
 
 
 def enumerate_language(t: RatExpr, maxlen: int, alphabet: Alphabet | None = None) -> list[str]:
-    """All words of the language of t up to the given length, via member_naive."""
+    """All words of the language of t up to the given length, in
+    `words_up_to` order.
+
+    The language is built bottom-up: each subterm keeps one set of words
+    per length 0..maxlen.  A concatenation joins length i with length j
+    for i + j <= maxlen, and a star is built length by length from its
+    nonempty body words, so the work follows the words the subterms have,
+    at most (maxlen + 1) times the number of words up to maxlen per
+    subterm, not the |alphabet|^maxlen candidates.  Letters outside the
+    alphabet match nothing.
+    """
     if alphabet is None:
         alphabet = infer_alphabet(t)
-    return [u for u in words_up_to(alphabet, maxlen) if member_naive(t, u)]
+    if maxlen < 0:
+        return []
+    lengths = range(maxlen + 1)
+    by_term: dict[RatExpr, list[set[str]]] = {}
+
+    def words(t: RatExpr) -> list[set[str]]:
+        if t in by_term:
+            return by_term[t]
+        out: list[set[str]] = [set() for _ in lengths]
+        match t:
+            case Zero():
+                pass
+            case One():
+                out[0].add("")
+            case Letter(c):
+                if c in alphabet and maxlen >= 1:
+                    out[1].add(c)
+            case Sum(l, r):
+                out = [u | v for u, v in zip(words(l), words(r))]
+            case Concat(l, r):
+                left, right = words(l), words(r)
+                for i in lengths:
+                    for j in range(maxlen - i + 1):
+                        out[i + j].update(u + v for u in left[i] for v in right[j])
+            case Star(x):
+                body = words(x)
+                out[0].add("")
+                for n in lengths[1:]:
+                    for i in range(1, n + 1):
+                        out[n].update(u + v for u in body[i] for v in out[n - i])
+            case _:
+                raise TypeError(f"not a rational expression: {t!r}")
+        by_term[t] = out
+        return out
+
+    # within a length, words_up_to order is the order of alphabet positions
+    positions = str.maketrans({c: chr(i) for i, c in enumerate(alphabet.letters)})
+    return [u for level in words(t) for u in sorted(level, key=lambda u: u.translate(positions))]
 
 
 def render_rexp(t: RatExpr, level: int) -> str:

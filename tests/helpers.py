@@ -7,6 +7,7 @@ on a fixed seed with an exact case count.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from lassokit.langops import (
     Dfa,
@@ -22,7 +23,7 @@ from lassokit.langops import (
 from lassokit.lassoaut import LassoAutomaton, _power_witness, _spoke_access_words, accepts, loop_dfa
 from lassokit.lassoexp import Circle, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
-from lassokit.omega import OPrefix, OSum, OZERO, OmegaExpr, OmegaPower
+from lassokit.omega import OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _oexp_alphabet, to_nba
 from lassokit.ratexp import (
     Alphabet,
     Concat,
@@ -104,6 +105,56 @@ def minimize_dfa_oracle(d: Dfa) -> Dfa:
     class_rows = tuple(tuple(cls[t] for t in rows[member[c]]) for c in range(len(member)))
     finals = frozenset(cls[index[q]] for q in d.finals if q in index)
     return Dfa(d.alphabet, class_rows, 0, finals)
+
+
+def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
+    """Büchi membership on the product of the automaton with the lasso's
+    positions: accept iff some accepting product node reachable after the
+    spoke lies on a cycle, one search per accepting node.
+
+    `omega.up_member` instead meets the states after the spoke with the
+    states from which the loop is accepted, found by one component pass
+    per loop word; the two must answer alike.
+    """
+    nba = to_nba(T, _oexp_alphabet(T, alphabet))
+    succ: dict[tuple[int, str], set[int]] = {}
+    for p, a, q in nba.transitions:
+        succ.setdefault((p, a), set()).add(q)
+    cur = set(nba.initials)
+    for a in l.spoke:
+        cur = {q for p in cur for q in succ.get((p, a), ())}
+        if not cur:
+            return False
+    m = len(l.loop)
+
+    def node_succ(node: tuple[int, int]):
+        q, j = node
+        return [(q2, (j + 1) % m) for q2 in succ.get((q, l.loop[j]), ())]
+
+    start = {(q, 0) for q in cur}
+    seen = set(start)
+    queue = deque(start)
+    while queue:
+        node = queue.popleft()
+        for nxt in node_succ(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    for node in seen:
+        if node[0] not in nba.accepting:
+            continue
+        # is this accepting node on a (nonempty) cycle?
+        visited: set[tuple[int, int]] = set()
+        stack = node_succ(node)
+        while stack:
+            cand = stack.pop()
+            if cand == node:
+                return True
+            if cand in visited:
+                continue
+            visited.add(cand)
+            stack.extend(node_succ(cand))
+    return False
 
 
 def is_saturated_oracle(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:

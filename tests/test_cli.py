@@ -140,6 +140,13 @@ class TestQueries:
         assert code == 0
         assert out.splitlines() == ["''", "ab", "abab"]
 
+    def test_enumerate_cost_follows_the_answer(self, capsys):
+        # one word, whatever the bound: the language is built, not
+        # filtered out of the 2^61 candidate words
+        code, out, _ = run(capsys, "enumerate", "--rexp", "ab", "--alphabet", "ab", "--maxlen", "60")
+        assert code == 0
+        assert out == "ab\n"
+
     def test_enumerate_lexp(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--lexp", "b(a*b@)", "--max-spoke", "2", "--max-loop", "1")
         assert code == 0
@@ -330,3 +337,27 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        from lassokit import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("bad", [("nf",), ("enumerate", "--maxlen", "x")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "ab:ba"),
+            ("enumerate", "--rexp", "a*", "--maxlen", "2"),
+            ("member", "--rexp", "a", "--word", "c", "--alphabet", "ab"),
+        ],
+    )
+    def test_usage_error_leaves_no_state(self, capsys, bad, argv):
+        before = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: lassokit")
+        assert run(capsys, *argv) == before

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gamma_class_upto, random_lexp, random_oexp, random_rexp, rexp_size
+from helpers import gamma_class_upto, random_lexp, random_oexp, random_rexp, rexp_size, up_member_oracle
 from lassokit import (
     Alphabet,
     DisjunctiveForm,
@@ -108,6 +108,24 @@ class TestOracle:
     def test_nba_structure(self):
         nba = to_nba(parse_oexpr("a$"), A)
         assert nba.initials and nba.accepting
+
+    @given(st.integers(0, 10_000), st.sampled_from(["a", "ab"]), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_up_member_matches_oracle(self, seed, letters, depth):
+        T = random_oexp(random.Random(seed), letters, depth)
+        alphabet = Alphabet(tuple(letters))
+        for l in enumerate_lassos(alphabet, 3, 3):
+            assert up_member(T, l, alphabet) == up_member_oracle(T, l, alphabet), (T, l)
+
+    def test_successor_table_is_not_part_of_identity(self):
+        nba = to_nba(parse_oexpr("(a+b)*a$"), AB)
+        twin = omega.Nba(nba.alphabet, nba.n_states, nba.transitions, nba.initials, nba.accepting)
+        assert twin == nba and hash(twin) == hash(nba) and repr(twin) == repr(nba)
+        assert "succ" not in repr(nba)
+        assert twin.succ == nba.succ
+
+    def test_loop_cache_is_bounded(self):
+        assert omega._loop_accepting.cache_info().maxsize == omega.LOOP_CACHE_SIZE
 
 
 class TestHMap:

@@ -195,6 +195,21 @@ class TestEnumerate:
     def test_letter_star(self):
         assert enumerate_language(parse_rexp("a*"), 2) == ["", "a", "aa"]
 
+    @pytest.mark.parametrize("text", ["0", "1", "0*", "1*", "(a*)*", "(a*b*)*", "((ab)*a+b*)*b", "(1+a(b+c)*)*", "c*a"])
+    @pytest.mark.parametrize("letters", ["a", "ab", "ba", "abc"])
+    def test_matches_member_naive(self, text, letters):
+        t, alphabet = parse_rexp(text), Alphabet(tuple(letters))
+        for n in range(8):
+            assert enumerate_language(t, n, alphabet) == [u for u in words_up_to(alphabet, n) if member_naive(t, u)]
+
+    @given(st.integers(0, 10_000), st.sampled_from(["a", "b", "ab", "ba", "abc", "cab"]), st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_random_matches_member_naive(self, seed, letters, n):
+        # the expression's letters may lie outside the alphabet
+        t = random_rexp(random.Random(seed), "abc", 4)
+        alphabet = Alphabet(tuple(letters))
+        assert enumerate_language(t, n, alphabet) == [u for u in words_up_to(alphabet, n) if member_naive(t, u)]
+
 
 class TestPrinter:
     @given(st.integers(0, 10_000))

@@ -2,8 +2,10 @@
 
 `data/text_pins.json` holds the text of lasso and omega expressions, of
 disjunctive forms, of the expressions extracted from automata, of the
-saturation verdicts on automata (whose witnesses are shortest words), and
-of the CLI's answers to ill-formed expressions.  It was recorded before lasso and
+saturation verdicts on automata (whose witnesses are shortest words), of
+the CLI's answers to ill-formed expressions, and of `enumerate` over the
+rational parts of the pinned expressions and the pinned expressions
+themselves.  It was recorded before lasso and
 omega expressions came to share one tree, so a change to that tree that
 moves a byte of output fails here.  Re-record only for an intended change
 of output:
@@ -23,8 +25,19 @@ import pytest
 from lassokit import Alphabet, read_automaton
 from lassokit.cli import main
 from lassokit.lassoaut import extract_expr, extract_omega_expr, is_saturated
-from lassokit.lassoexp import compile_lasso, df_to_lexp, df_to_str, disjunctive_form, lexp_to_str, parse_lexp
+from lassokit.lassoexp import (
+    TailPrefix,
+    Terminal,
+    TailSum,
+    compile_lasso,
+    df_to_lexp,
+    df_to_str,
+    disjunctive_form,
+    lexp_to_str,
+    parse_lexp,
+)
 from lassokit.omega import h_map, oexp_to_str, parse_oexpr, represent
+from lassokit.ratexp import rexp_to_str
 
 DATA = pathlib.Path(__file__).parent / "data"
 PINS_PATH = DATA / "text_pins.json"
@@ -57,6 +70,32 @@ CLI_CASES = [
     ["convert", "--oexp", "(1+a)$"],
     ["member", "--rexp", "a@", "--word", "a"],
 ]
+
+
+ENUM_BOX = ["--max-spoke", "3", "--max-loop", "3"]
+
+
+def _rational_parts(rho) -> set[str]:
+    """The text of every prefix and terminal body in a tailed expression."""
+    match rho:
+        case Terminal(r):
+            return {rexp_to_str(r)}
+        case TailPrefix(t, tail):
+            return {rexp_to_str(t)} | _rational_parts(tail)
+        case TailSum(l, r):
+            return _rational_parts(l) | _rational_parts(r)
+    return set()
+
+
+def _enumerate_cases() -> list[list[str]]:
+    """`enumerate` over the rational parts of the pinned expressions (with
+    the inferred alphabet and with `ba`, which reverses the order within a
+    length) and over the pinned lasso and omega expressions."""
+    exprs = [parse_lexp(t) for t in LEXPS] + [parse_oexpr(t) for t in OEXPS]
+    rexps = sorted(set().union(*map(_rational_parts, exprs)))
+    cases = [["enumerate", "--rexp", t, "--maxlen", "6", *extra] for t in rexps for extra in ([], ["--alphabet", "ba"])]
+    cases += [["enumerate", "--lexp", t, *ENUM_BOX] for t in LEXPS]
+    return cases + [["enumerate", "--oexp", t, *ENUM_BOX] for t in OEXPS]
 
 
 def _alphabet(text: str) -> Alphabet:
@@ -104,6 +143,7 @@ def render() -> dict[str, dict[str, object]]:
         "extract_omega": {name: _extract_omega(aut) for name, aut in auts.items()},
         "saturated": {name: _verdict(aut) for name, aut in auts.items()},
         "cli": {" ".join(argv): _cli(argv) for argv in CLI_CASES},
+        "enumerate": {" ".join(argv): _cli(argv)[:2] for argv in _enumerate_cases()},
     }
 
 
