@@ -117,8 +117,9 @@ def compile_dfa(t: RatExpr, alphabet: Alphabet | None = None) -> Dfa:
     return Dfa(alphabet, tuple(rows), 0, finals, tuple(index))
 
 
-def minimize_dfa(d: Dfa) -> Dfa:
-    """Moore partition refinement on the reachable part; language-preserving.
+def moore_classes(keys: list[Hashable], rows: list[tuple[int, ...]]) -> list[int]:
+    """Moore partition refinement: the coarsest partition of the states
+    that separates different keys and is respected by every letter.
 
     Each round works column by column: a state's signature is its class
     together with the classes of its successors, one column per letter,
@@ -126,21 +127,31 @@ def minimize_dfa(d: Dfa) -> Dfa:
     splits classes, so a round that keeps the class count keeps the
     partition, which is then stable: the rounds stop there.
 
-    The result is canonical: states are numbered breadth-first from the
-    initial state, so two DFAs for the same language minimize to equal
-    `Dfa`s."""
-    index, rows = explore([d.initial], d.trans.__getitem__, "minimization")
+    Classes are numbered by first member.  When the states are an
+    `explore` numbering, that is the breadth-first numbering of the
+    quotient from the classes of the starts: a class's successors are
+    first reached from its first member."""
+    first: dict[Hashable, int] = {}
+    cls = [first.setdefault(k, len(first)) for k in keys]
+    count = len(first)
     cols = list(zip(*rows))
-    cls = [1 if q in d.finals else 0 for q in index]
-    count = len(set(cls))
     while True:
         sig: dict[tuple, int] = {}
         cls = [sig.setdefault(s, len(sig)) for s in zip(cls, *([cls[t] for t in col] for col in cols))]
         if len(sig) == count:
-            break
+            return cls
         count = len(sig)
-    # classes are numbered by first member in the breadth-first order of
-    # the states, which is the breadth-first numbering of the quotient;
+
+
+def minimize_dfa(d: Dfa) -> Dfa:
+    """Moore partition refinement (`moore_classes`) on the reachable part,
+    finals apart from the other states; language-preserving.
+
+    The result is canonical: states are numbered breadth-first from the
+    initial state, so two DFAs for the same language minimize to equal
+    `Dfa`s."""
+    index, rows = explore([d.initial], d.trans.__getitem__, "minimization")
+    cls = moore_classes([q in d.finals for q in index], rows)
     # all members of a class step into the same classes
     member = {c: q for q, c in enumerate(cls)}
     class_rows = tuple(tuple(cls[t] for t in rows[member[c]]) for c in range(len(member)))

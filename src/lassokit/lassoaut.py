@@ -24,6 +24,7 @@ from .langops import (
     is_empty_dfa,
     left_derivative,
     minimize_dfa,
+    moore_classes,
     right_quotient,
     root,
 )
@@ -154,6 +155,44 @@ def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lass
             counterexamples.append(Lasso(u, w))
     best = min(counterexamples, key=lambda l: (len(l.spoke) + len(l.loop), l.spoke, l.loop), default=None)
     return (best is None, best)
+
+
+def minimize_lasso(aut: LassoAutomaton) -> LassoAutomaton:
+    """The minimal lasso automaton of the accepted language, numbered
+    canonically; without state labels.
+
+    Moore refinement (`moore_classes`) runs on the reachable loop part,
+    finals apart from the other states, and then on the reachable spoke
+    part, keyed by the loop classes of each spoke state's `d2` row.  Two
+    loop states are merged iff they accept the same words, and two spoke
+    states iff every word leads them to spoke states with the same loop
+    language, so the quotient is the minimal lasso automaton of the
+    Myhill-Nerode theorem for lasso languages (Ciancia & Venema,
+    "Omega-automata: a coalgebraic perspective on regular omega-languages",
+    CALCO 2019).  It accepts the same lassos, so it is saturated iff the
+    input is.
+
+    Spoke states are numbered breadth-first from the initial state, loop
+    states breadth-first from the switch targets of the spoke states in
+    their order, so two automata for the same language minimize to equal
+    `LassoAutomaton`s.
+    """
+    spokes, d1_rows = explore([aut.initial], aut.d1.__getitem__, "spoke part")
+    loops, d3_rows = explore([y for x in spokes for y in aut.d2[x]], aut.d3.__getitem__, "loop part")
+    loop_cls = moore_classes([y in aut.finals for y in loops], d3_rows)
+    switch_rows = [tuple(loop_cls[loops[y]] for y in aut.d2[x]) for x in spokes]
+    spoke_cls = moore_classes(switch_rows, d1_rows)
+    # one member per class (all members of a class step into the same classes)
+    spoke_member = {c: i for i, c in enumerate(spoke_cls)}
+    loop_member = {c: i for i, c in enumerate(loop_cls)}
+    return LassoAutomaton(
+        alphabet=aut.alphabet,
+        d1=tuple(tuple(spoke_cls[j] for j in d1_rows[i]) for i in spoke_member.values()),
+        d2=tuple(switch_rows[i] for i in spoke_member.values()),
+        d3=tuple(tuple(loop_cls[j] for j in d3_rows[i]) for i in loop_member.values()),
+        initial=0,
+        finals=frozenset(loop_cls[i] for y, i in loops.items() if y in aut.finals),
+    )
 
 
 def _power_witness(d: Dfa, w: str, want_final: bool) -> int | None:

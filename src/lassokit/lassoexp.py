@@ -18,7 +18,9 @@ TypeError.
 
 Every lasso expression flattens to a disjunctive form, a finite set of
 (spoke expression, loop expression) pairs; disjunctive forms are the
-spoke states of the compiled automaton.
+spoke states of the automaton `compile_lasso` builds from a lasso
+expression.  A disjunctive form itself compiles to the minimal lasso
+automaton of its lassos.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import NullableLoopError, ParseError
-from .langops import explore
+from .langops import Dfa, boolean_combine, compile_dfa, explore, minimize_dfa
 from .lassos import Lasso
 from .ratexp import (
     Alphabet,
@@ -392,15 +394,23 @@ def d2_df(df: DisjunctiveForm, a: str) -> RatExpr:
 def compile_lasso(rho: LassoExpr | DisjunctiveForm, alphabet: Alphabet | None = None):
     """Compile to a finite lasso automaton accepting exactly the semantics.
 
-    Spoke states are the disjunctive forms reachable under d1; loop states
-    are the normalized rational expressions reachable from the switch
-    images under the word derivative.
+    A lasso expression gets the Brzozowski construction: spoke states are
+    the disjunctive forms reachable under d1, loop states the normalized
+    rational expressions reachable from the switch images under the word
+    derivative, and both are kept as state labels.  This is `compile
+    --lexp`.
+
+    A disjunctive form, such as the γ-closed form that
+    `omega_to_omega_automaton` compiles, gets the minimal lasso
+    automaton, without labels (`_compile_minimal`).
     """
     from .lassoaut import LassoAutomaton
 
-    df0 = rho if isinstance(rho, DisjunctiveForm) else disjunctive_form(rho)
+    if isinstance(rho, DisjunctiveForm):
+        return _compile_minimal(rho, alphabet_of(df_letters(rho)) if alphabet is None else alphabet)
+    df0 = disjunctive_form(rho)
     if alphabet is None:
-        alphabet = alphabet_of(df_letters(df0) if isinstance(rho, DisjunctiveForm) else lexp_letters(rho))
+        alphabet = alphabet_of(lexp_letters(rho))
 
     spoke_index, d1_rows = explore([df0], lambda df: [d1_df(df, a) for a in alphabet], "spoke closure")
     switch_exprs = [[d2_df(df, a) for a in alphabet] for df in spoke_index]
@@ -417,3 +427,51 @@ def compile_lasso(rho: LassoExpr | DisjunctiveForm, alphabet: Alphabet | None = 
         spoke_labels=tuple(df_to_str(df) for df in spoke_index),
         loop_labels=tuple(rexp_to_str(e) for e in loop_index),
     )
+
+
+def _compile_minimal(df: DisjunctiveForm, alphabet: Alphabet):
+    """The minimal lasso automaton of a disjunctive form, built on minimal
+    DFAs of its loops.
+
+    Each distinct loop expression is compiled once to its minimal DFA,
+    and equal DFAs share one loop number.  A spoke state is the set of
+    (spoke derivative, loop number) pairs reached by a word, pairs whose
+    spoke derivative is 0 dropped.  Its switch language is the union of the
+    loop DFAs of its pairs whose spoke accepts the empty word, built one
+    DFA at a time and minimized after each step, so it stays as small as
+    its language; it is built once per set of loops.  The loop part lays
+    the switch DFAs side by side, and `minimize_lasso` merges what is
+    equal and numbers the result canonically.
+    """
+    from .lassoaut import LassoAutomaton, minimize_lasso
+
+    loop_numbers: dict[Dfa, int] = {}
+    number_of: dict[RatExpr, int] = {}
+    for _, s in df.pairs:
+        if s not in number_of:
+            number_of[s] = loop_numbers.setdefault(minimize_dfa(compile_dfa(s, alphabet)), len(loop_numbers))
+    loop_dfas = list(loop_numbers)
+
+    def d1(state: frozenset[tuple[RatExpr, int]]) -> list[frozenset[tuple[RatExpr, int]]]:
+        return [frozenset((dt, i) for t, i in state if (dt := deriv(t, a)) != ZERO) for a in alphabet]
+
+    spokes, d1_rows = explore([frozenset((t, number_of[s]) for t, s in df.pairs)], d1, "spoke closure")
+
+    empty = Dfa(alphabet, (tuple(0 for _ in alphabet.letters),), 0, frozenset())
+    switch_rows: dict[frozenset[int], tuple[int, ...]] = {}  # set of loops -> d2 row into its switch DFA
+    d2: list[tuple[int, ...]] = []
+    d3: list[tuple[int, ...]] = []
+    finals: set[int] = set()
+    for state in spokes:
+        loops = frozenset(i for t, i in state if ewp(t))
+        if loops not in switch_rows:
+            ids = sorted(loops)
+            union = loop_dfas[ids[0]] if ids else empty
+            for i in ids[1:]:
+                union = minimize_dfa(boolean_combine(union, loop_dfas[i], "or"))
+            offset = len(d3)
+            d3 += [tuple(offset + q for q in row) for row in union.trans]
+            finals.update(offset + q for q in union.finals)
+            switch_rows[loops] = d3[offset + union.initial]
+        d2.append(switch_rows[loops])
+    return minimize_lasso(LassoAutomaton(alphabet, tuple(d1_rows), tuple(d2), tuple(d3), 0, frozenset(finals)))

@@ -3,12 +3,16 @@ that turns an omega expression into a finite saturated lasso automaton.
 The omega expression tree itself (`OmegaExpr`, `parse_oexpr`,
 `oexp_to_str`, ...) is the tailed-expression tree of `lassoexp`.
 
-The pipeline has two stages.  `h_map` translates an omega expression
+The pipeline has three stages.  `h_map` translates an omega expression
 into a disjunctive form whose lassos denote exactly the ultimately
 periodic words of the expression, and whose lasso set is closed under
 rewrite expansion.  `gamma_map` then closes the set under rewrite
-reduction using splitting, intersection and the root operation, after
-which compilation yields a saturated automaton.
+reduction using splitting, intersection and the root operation.
+`compile_lasso` turns that γ-closed form into the minimal lasso
+automaton of its lassos, built on the minimal DFAs of its loops, with
+no state labels.  Saturation is a property of the accepted lassos
+(Calbrix, Nivat & Podelski, "Ultimately periodic words of rational
+omega-languages", MFPS 1993), so that automaton is saturated too.
 
 The oracle (`to_nba`/`up_member`) goes through a nondeterministic Buchi
 automaton and shares nothing with the lasso machinery, so pipeline bugs
@@ -253,12 +257,14 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     back to an expression, so the expression grammar stays plain.  Pairs
     with an empty loop language are dropped.
 
-    Two caches, both per call: the triple (t1, s1, s0) maps to the
-    minimal DFA of (t1 ∩ s1)·s0, and that DFA maps to the loop
-    expression.  Many triples denote one language, and a minimal DFA is
-    canonical, so `root` and `dfa_to_expr` run once per language.  Both
-    minimize their input first, so keying by the minimal DFA gives every
-    triple the expression its own DFA would give.
+    The distinct triples (t1, s1, s0) are grouped by (t1, s1), so each
+    intersection is built once and dropped after its triples.  A triple
+    maps to the loop expression of the minimal DFA of (t1 ∩ s1)·s0,
+    through a per-call cache keyed by that DFA.  Many triples denote one
+    language, and a minimal DFA is canonical, so `root` and `dfa_to_expr`
+    run once per language.  Both minimize their input first, so keying
+    by the minimal DFA gives every triple the expression its own DFA
+    would give.
 
     Applied to an expansion-closed input (such as h_map output) the
     result is saturated; on arbitrary inputs a single application need
@@ -274,25 +280,31 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
             dfas[e] = compile_dfa(e, alphabet)
         return dfas[e]
 
-    language: dict[tuple[RatExpr, RatExpr, RatExpr], Dfa | None] = {}
-    # an empty intersection is keyed None and has no loop expression
-    loop_cache: dict[Dfa | None, RatExpr | None] = {None: None}
-    pairs = []
-    for t, s in df.pairs:
-        s_splits = split(s)
-        for t0, t1 in split(t):
+    splits = [(split(t), split(s)) for t, s in df.pairs]
+    triples: dict[tuple[RatExpr, RatExpr], list[RatExpr]] = {}  # (t1, s1) -> its s0s
+    for t_splits, s_splits in splits:
+        for _, t1 in t_splits:
             for s0, s1 in s_splits:
-                key = (t1, s1, s0)
-                if key not in language:
-                    # the product and root's minimal result hold only
-                    # reachable states: each is empty iff it has no finals
-                    inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
-                    language[key] = minimize_dfa(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
-                lang = language[key]
-                if lang not in loop_cache:
+                triples.setdefault((t1, s1), []).append(s0)
+    # an empty intersection is keyed None and has no loop expression
+    loops: dict[Dfa | None, RatExpr | None] = {None: None}
+    loop_of: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
+    for (t1, s1), s0s in triples.items():
+        # the product and root's minimal result hold only reachable
+        # states: each is empty iff it has no finals
+        inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
+        for s0 in s0s:
+            if (t1, s1, s0) not in loop_of:
+                lang = minimize_dfa(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
+                if lang not in loops:
                     rt = root(lang)
-                    loop_cache[lang] = dfa_to_expr(rt) if rt.finals else None
-                loop = loop_cache[lang]
+                    loops[lang] = dfa_to_expr(rt) if rt.finals else None
+                loop_of[t1, s1, s0] = loops[lang]
+    pairs = []
+    for t_splits, s_splits in splits:
+        for t0, t1 in t_splits:
+            for s0, s1 in s_splits:
+                loop = loop_of[t1, s1, s0]
                 if loop is not None:
                     pairs.append((t0, loop))
     return DisjunctiveForm(tuple(pairs))
@@ -306,7 +318,12 @@ def represent(T: OmegaExpr, alphabet: Alphabet | None = None) -> DisjunctiveForm
 
 def omega_to_omega_automaton(T: OmegaExpr, alphabet: Alphabet | None = None):
     """Finite saturated lasso automaton accepting exactly the lassos whose
-    words lie in the omega language of T.  Saturation is asserted exactly."""
+    words lie in the omega language of T.
+
+    The automaton is `compile_lasso` of the γ-closed form `represent(T)`:
+    the minimal lasso automaton of that language, numbered canonically
+    and without state labels, so `write_automaton` prints no `# x = …`
+    lines.  Saturation is asserted exactly on it."""
     alphabet = _oexp_alphabet(T, alphabet)
     aut = compile_lasso(represent(T, alphabet), alphabet)
     sat, pair = is_saturated(aut)

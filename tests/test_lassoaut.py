@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import defaultdict
 
@@ -25,6 +26,7 @@ from lassokit import (
     lasso_to_dot,
     loop_dfa,
     member_lasso_naive,
+    minimize_lasso,
     parse_lexp,
     parse_oexpr,
     read_automaton,
@@ -33,6 +35,7 @@ from lassokit import (
     up_member,
     write_automaton,
 )
+from lassokit.langops import Dfa, explore
 from lassokit.lassos import up_equal
 from lassokit.omega import OZERO, omega_to_omega_automaton
 from lassokit.ratexp import words_up_to
@@ -276,6 +279,68 @@ class TestSaturation:
             acc, rej = pair
             assert accepts(aut, acc) and not accepts(aut, rej)
             assert gamma_equiv(acc, rej) and up_equal(acc, rej)
+
+
+def _random_lauto(rng: random.Random) -> LassoAutomaton:
+    return random_lauto(rng, rng.randint(1, 4), rng.randint(1, 5), rng.choice(["ab", "abc"]))
+
+
+def _permuted(aut: LassoAutomaton, rng: random.Random) -> LassoAutomaton:
+    """The same automaton with its spoke and loop states renumbered at random."""
+    spoke = rng.sample(range(aut.n_spoke), aut.n_spoke)  # old state x becomes spoke[x]
+    loop = rng.sample(range(aut.n_loop), aut.n_loop)
+    d1, d2, d3 = [None] * aut.n_spoke, [None] * aut.n_spoke, [None] * aut.n_loop
+    for x in range(aut.n_spoke):
+        d1[spoke[x]] = tuple(spoke[t] for t in aut.d1[x])
+        d2[spoke[x]] = tuple(loop[t] for t in aut.d2[x])
+    for y in range(aut.n_loop):
+        d3[loop[y]] = tuple(loop[t] for t in aut.d3[y])
+    finals = frozenset(loop[y] for y in aut.finals)
+    return LassoAutomaton(aut.alphabet, tuple(d1), tuple(d2), tuple(d3), spoke[aut.initial], finals)
+
+
+class TestMinimizeLasso:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_same_language(self, rng):
+        aut = _random_lauto(rng)
+        assert equivalent_lasso(minimize_lasso(aut), aut) == (True, None)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_every_state_reachable(self, rng):
+        m = minimize_lasso(_random_lauto(rng))
+        spokes, _ = explore([m.initial], m.d1.__getitem__, "spoke part")
+        loops, _ = explore([y for row in m.d2 for y in row], m.d3.__getitem__, "loop part")
+        assert len(spokes) == m.n_spoke and len(loops) == m.n_loop
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_no_two_states_equivalent(self, rng):
+        m = minimize_lasso(_random_lauto(rng))
+        for y in range(m.n_loop):
+            for y2 in range(y):
+                loop_lang = Dfa(m.alphabet, m.d3, y, m.finals)
+                assert not equivalent_dfa(loop_lang, Dfa(m.alphabet, m.d3, y2, m.finals))[0], (m, y, y2)
+        for x in range(m.n_spoke):
+            for x2 in range(x):
+                from_x = dataclasses.replace(m, initial=x)
+                assert not equivalent_lasso(from_x, dataclasses.replace(m, initial=x2))[0], (m, x, x2)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_numbering(self, rng):
+        aut = _random_lauto(rng)
+        m = minimize_lasso(aut)
+        assert minimize_lasso(_permuted(aut, rng)) == m
+        assert minimize_lasso(m) == m
+
+    def test_fig1_dead_loop_states_merge(self, fig1):
+        # y3 (reached by b from x1) and y4 never reach the final y2
+        m = minimize_lasso(fig1)
+        assert (m.n_spoke, m.n_loop) == (2, 2)
+        assert m.spoke_labels is None and m.loop_labels is None
+        assert equivalent_lasso(m, fig1) == (True, None)
 
 
 class TestFileFormat:

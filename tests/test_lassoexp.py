@@ -33,6 +33,7 @@ from lassokit import (
     lexp_to_str,
     member_lasso_naive,
     member_naive,
+    minimize_lasso,
     normalize_b,
     parse_lexp,
     parse_oexpr,
@@ -254,6 +255,16 @@ class TestCompile:
             aut = compile_lasso(rho, AB)
             for l in LASSOS_4:
                 assert accepts(aut, l) == member_lasso_naive(rho, l), (rho, l)
+
+    def test_disjunctive_form_compiles_to_minimal_automaton(self):
+        # the form's minimal construction is the expression's Brzozowski
+        # automaton, minimized: equal automata, with no labels
+        rng = random.Random(61)
+        for _ in range(60):
+            rho = random_lexp(rng, "ab", 3)
+            aut = compile_lasso(disjunctive_form(rho), AB)
+            assert aut == minimize_lasso(compile_lasso(rho, AB)), rho
+            assert aut.spoke_labels is None and aut.loop_labels is None
 
     def test_unreachable_loop_seed_omitted(self):
         # the loop-part start expression ab* is never a switch image

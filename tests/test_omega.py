@@ -16,19 +16,23 @@ from lassokit import (
     OmegaPower,
     ParseError,
     accepts,
+    compile_lasso,
     df_member,
     disjunctive_form,
     enumerate_lassos,
+    equivalent_lasso,
     expansions,
     gamma_map,
     h_map,
     is_saturated,
     member_lasso_naive,
+    minimize_lasso,
     normalize_b,
     oexp_to_str,
     omega_to_omega_automaton,
     parse_lexp,
     parse_oexpr,
+    read_automaton,
     represent,
     to_nba,
     up_member,
@@ -36,7 +40,7 @@ from lassokit import (
 from lassokit import omega
 from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, minimize_dfa, root
 from lassokit.lassoaut import extract_omega_expr, write_automaton
-from lassokit.lassoexp import df_to_str
+from lassokit.lassoexp import df_to_lexp, df_to_str
 from lassokit.ratexp import Letter, ONE, rcat, split
 from lassokit.syntax import parse_rexp
 
@@ -44,14 +48,20 @@ AB = Alphabet(("a", "b"))
 A = Alphabet(("a",))
 
 CORPUS = ["a$", "(ab)$", "a(ba)$", "(a+b)*a$", "(aa)$+b((ab)$)", "b(a+b*)(a$)"]
-# expression -> `write_automaton` text of its pipeline output, recorded
-# before terms cached their hashes, normal forms and sort keys
+# expression -> `write_automaton` text of its pipeline output, the
+# minimal lasso automaton
 PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "pipeline_automata.json").read_text())
 # expression over ab -> {"automaton": `write_automaton` text of its pipeline
-# output, "represent": `df_to_str` of its disjunctive form}, recorded before
-# gamma_map cached loop expressions by language; kept out of PINNED, whose
-# every automaton test_text_pins.py also extracts, which is slow on these
+# output, "represent": `df_to_str` of its disjunctive form, recorded before
+# gamma_map cached loop expressions by language}
 HARD_PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "hard_pipeline_automata.json").read_text())
+# expression -> `write_automaton` text of its pipeline output as pinned
+# before the pipeline returned the minimal automaton: the Brzozowski
+# construction on the γ-closed form, with its state labels
+UNMINIMIZED = json.loads((pathlib.Path(__file__).parent / "data" / "unminimized_pipeline_automata.json").read_text())
+# omega expressions whose γ-closed forms have hundreds of distinct loop
+# expressions; the Brzozowski construction took 5 s and 128 s on them
+LOOP_HEAVY = ["((ab+b)*(a+c))$", "((a+b)*c(a+b)*c)$"]
 
 
 class TestParse:
@@ -397,6 +407,36 @@ class TestPipeline:
 
     def test_pinned_cover_the_corpus(self):
         assert set(CORPUS) | {"a(b+ab)$+b(a+bb)$"} == set(PINNED)
+
+    @pytest.mark.parametrize("text", sorted(UNMINIMIZED))
+    def test_pin_equivalent_to_unminimized_pin(self, text):
+        pin = PINNED[text] if text in PINNED else HARD_PINNED[text]["automaton"]
+        assert equivalent_lasso(read_automaton(pin), read_automaton(UNMINIMIZED[text])) == (True, None)
+
+    def test_unminimized_pins_cover_every_pin(self):
+        assert set(UNMINIMIZED) == set(PINNED) | set(HARD_PINNED)
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_output_is_minimal_brzozowski_automaton(self, text):
+        # the lasso-expression construction on the same closed form, with
+        # its labels, minimizes to the pipeline output exactly
+        alphabet = AB if "b" in text else A
+        form = represent(parse_oexpr(text), alphabet)
+        brzozowski = compile_lasso(df_to_lexp(form), alphabet)
+        assert brzozowski.loop_labels is not None
+        aut = omega_to_omega_automaton(parse_oexpr(text), alphabet)
+        assert minimize_lasso(brzozowski) == aut
+        assert aut.spoke_labels is None and aut.loop_labels is None
+        assert "#" not in write_automaton(aut)
+
+    @pytest.mark.parametrize("text", LOOP_HEAVY)
+    def test_loop_heavy_input_converts_to_minimal(self, text):
+        T = parse_oexpr(text)
+        alphabet = Alphabet(("a", "b", "c"))
+        aut = omega_to_omega_automaton(T, alphabet)
+        assert (aut.n_spoke, aut.n_loop) == (1, 2)
+        for l in enumerate_lassos(alphabet, 3, 3):
+            assert accepts(aut, l) == up_member(T, l, alphabet), (text, l)
 
     @pytest.mark.parametrize("text", sorted(HARD_PINNED))
     def test_hard_output_pinned_byte_for_byte(self, text):
