@@ -11,6 +11,13 @@ subset and transformation closures, minimization, and the lasso
 automaton constructions in `lassoexp` and `lassoaut`) goes through
 `explore`, the one breadth-first closure and the one place that applies
 `STATE_CAP`.
+
+State elimination (`dfa_to_expr`) certifies every expression it returns
+on the expression's position automaton (Glushkov, "The abstract theory
+of automata", 1961; McNaughton & Yamada, "Regular expressions and state
+graphs for automata", 1960), which shares nothing with the derivative
+closure of `compile_dfa`: one `explore` over pairs of a position set and
+an input DFA state checks that the two agree on acceptance everywhere.
 """
 
 from __future__ import annotations
@@ -22,10 +29,15 @@ from typing import TypeVar
 from .errors import AlphabetMismatchError, CertificationError, StateLimitError
 from .ratexp import (
     Alphabet,
+    Concat,
     Letter,
     ONE,
+    One,
     RatExpr,
+    Star,
+    Sum,
     ZERO,
+    Zero,
     deriv,
     ewp,
     infer_alphabet,
@@ -281,14 +293,96 @@ def root(d: Dfa) -> Dfa:
     return minimize_dfa(Dfa(d.alphabet, tuple(rows), 0, finals))
 
 
-def dfa_to_expr(d: Dfa) -> RatExpr:
-    """Expression for L(d) by state elimination, self-certified.
+def _positions(t: RatExpr, alphabet: Alphabet) -> tuple[bool, int, int, list[int], list[int]]:
+    """The position automaton of t, in one pass over the term.
 
-    Eliminates the state minimizing in-degree x out-degree; the result is
-    recompiled and checked equivalent to the input before returning.
+    Every letter occurrence of t is a position, numbered left to right and
+    held as one bit of an int mask.  Returns whether t is nullable, the
+    masks of its first and last positions, the follow mask of each
+    position, and the mask of the positions of each letter of `alphabet`.
     """
-    original = d
-    d = minimize_dfa(d)
+    follow: list[int] = []
+    of_letter = [0] * len(alphabet.letters)
+
+    def link(last: int, first: int) -> None:
+        # every position of `last` may be followed by every one of `first`
+        if first:
+            while last:
+                low = last & -last
+                follow[low.bit_length() - 1] |= first
+                last ^= low
+
+    def walk(t: RatExpr) -> tuple[bool, int, int]:
+        match t:
+            case Letter(c):
+                bit = 1 << len(follow)
+                follow.append(0)
+                of_letter[alphabet.index(c)] |= bit
+                return False, bit, bit
+            case Concat(l, r):
+                nl, fl, ll = walk(l)
+                nr, fr, lr = walk(r)
+                link(ll, fr)
+                return nl and nr, fl | fr if nl else fl, ll | lr if nr else lr
+            case Sum(l, r):
+                nl, fl, ll = walk(l)
+                nr, fr, lr = walk(r)
+                return nl or nr, fl | fr, ll | lr
+            case Star(x):
+                _, f, l = walk(x)
+                link(l, f)
+                return True, f, l
+            case One():
+                return True, 0, 0
+            case Zero():
+                return False, 0, 0
+        raise TypeError(f"not a rational expression: {t!r}")
+
+    nullable, first, last = walk(t)
+    return nullable, first, last, follow, of_letter
+
+
+def _certify(e: RatExpr, d: Dfa) -> None:
+    """Raise CertificationError unless L(e) = L(d).
+
+    One `explore` runs over the pairs of a state of e's position automaton
+    (`_positions`), determinized on the fly as a set of positions, and a
+    state of d; a distinct marker (-1, no position mask) stands for the
+    start before any letter.  A pair is accepting on the expression side
+    iff its set meets the last positions, or, at the start, e is nullable.
+    Every reached pair must agree with d.  The pairs are numbered
+    breadth-first, so the first pair that disagrees is entered by the
+    length-lex least word on which the languages differ, which the error
+    names.
+    """
+    nullable, first, last, follow, of_letter = _positions(e, d.alphabet)
+    start = -1
+    moves: dict[int, tuple[int, ...]] = {start: tuple(first & m for m in of_letter)}
+
+    def step(positions: int) -> tuple[int, ...]:
+        if positions not in moves:
+            reach, rest = 0, positions
+            while rest:
+                low = rest & -rest
+                reach |= follow[low.bit_length() - 1]
+                rest ^= low
+            moves[positions] = tuple(reach & m for m in of_letter)
+        return moves[positions]
+
+    index, rows = explore([(start, d.initial)], lambda pq: zip(step(pq[0]), d.trans[pq[1]]), "certificate product")
+    for (positions, q), i in index.items():
+        accepts = nullable if positions == start else bool(positions & last)
+        if accepts != (q in d.finals):
+            cex = access_words(rows, d.alphabet.letters)[i]
+            raise CertificationError(f"state elimination produced a wrong expression (differs on {cex!r})")
+
+
+def _eliminate(d: Dfa) -> RatExpr:
+    """Expression for L(d) by state elimination, in normal form.
+
+    Eliminates the state minimizing in-degree x out-degree, ties to the
+    lowest state number.
+    """
     n = d.n_states
     na = len(d.alphabet.letters)
     init_node, final_node = -1, -2
@@ -330,10 +424,20 @@ def dfa_to_expr(d: Dfa) -> RatExpr:
             for q, e_out in succs:
                 add_edge(p, q, rcat(rcat(e_in, star_loop), e_out))
 
-    result = normalize_b(edges.get((init_node, final_node), ZERO))
-    ok, cex = equivalent_dfa(compile_dfa(result, original.alphabet), original)
-    if not ok:
-        raise CertificationError(f"state elimination produced a wrong expression (differs on {cex!r})")
+    return normalize_b(edges.get((init_node, final_node), ZERO))
+
+
+def dfa_to_expr(d: Dfa) -> RatExpr:
+    """Expression for L(d) by state elimination, self-certified.
+
+    Eliminates the states of the minimal DFA of d (`_eliminate`), so the
+    expression depends only on the language.  Before it is returned, it
+    is checked equivalent to d itself on its position automaton
+    (`_certify`); a wrong expression raises CertificationError naming the
+    least word on which the two differ.
+    """
+    result = _eliminate(minimize_dfa(d))
+    _certify(result, d)
     return result
 
 

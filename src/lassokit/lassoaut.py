@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import AlphabetMismatchError, AutomatonFormatError
+from .errors import AlphabetMismatchError, AutomatonFormatError, CertificationError
 from .langops import (
     Dfa,
     access_words,
@@ -90,32 +90,79 @@ def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
     return dict(zip(index, access_words(rows, aut.alphabet.letters)))
 
 
-def _extract(aut: LassoAutomaton, terminal: type[Terminal], loop_lang: Callable[[int, int], Dfa]) -> TailedExpr:
-    """Sum, over reachable spoke states x (in access-word order) and final
-    loop states y, of the access language of x prefixed onto
-    terminal(loop_lang(x, y)).  Empty loop languages are dropped."""
+def _extract(
+    aut: LassoAutomaton, terminal: type[Terminal], loop_langs: Callable[[LassoAutomaton, int], dict[int, Dfa]]
+) -> TailedExpr:
+    """Sum, over reachable spoke states x (in access-word order) and the
+    loop-language DFAs loop_langs(aut, x), of the access language of x
+    prefixed onto terminal(loop language).
+
+    loop_langs(aut, x) maps the final loop states y whose loop language
+    at x is nonempty, in state order, to a DFA for that language; a spoke
+    state without one contributes nothing, so its access language is
+    never built.  Each loop expression is checked to reject the empty
+    word, as a loop must.
+    """
     terms: list[tuple[RatExpr, RatExpr]] = []
     for x in _spoke_access_words(aut):
-        s_expr = None
-        for y in sorted(aut.finals):
-            r_dfa = loop_lang(x, y)
-            if is_empty_dfa(r_dfa)[0]:
-                continue
-            if s_expr is None:
-                s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
+        r_dfas = loop_langs(aut, x)
+        if not r_dfas:
+            continue
+        s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
+        for r_dfa in r_dfas.values():
             r_expr = dfa_to_expr(r_dfa)
-            assert not ewp(r_expr), "loop language contained the empty word"
+            if ewp(r_expr):
+                raise CertificationError("loop language contained the empty word")
             terms.append((s_expr, r_expr))
     return prefixed_sum(terminal, terms)
+
+
+def _switch_langs(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
+    """The nonempty languages of loop words that switch from spoke state x
+    into a final loop state y, keyed by y: one reachability search of the
+    switch DFA of x (`loop_dfa`) finds them."""
+    switch = loop_dfa(aut, x)
+    reached, _ = explore([switch.initial], switch.trans.__getitem__, "loop part")
+    return {
+        y: Dfa(aut.alphabet, switch.trans, switch.initial, frozenset({y + 1}))
+        for y in sorted(aut.finals)
+        if y + 1 in reached
+    }
+
+
+def _omega_loop_langs(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
+    """The nonempty omega-power bodies at spoke state x, keyed by final
+    loop state y: the words that return x to x along the spoke, switch
+    from x into y, and return y to y along the loop.
+
+    The first two conditions do not depend on y, so their product is
+    built once; only the y whose pair (x, y) it reaches are intersected
+    with the third.  Products hold only reachable states, so that
+    intersection is empty iff it has no final state.
+    """
+    switch = loop_dfa(aut, x)
+    index, rows = explore(
+        [(x, switch.initial)], lambda pq: zip(aut.d1[pq[0]], switch.trans[pq[1]]), "product automaton"
+    )
+    trans = tuple(rows)
+    langs = {}
+    for y in sorted(aut.finals):
+        i = index.get((x, y + 1))
+        if i is not None:
+            spoke_and_switch = Dfa(aut.alphabet, trans, 0, frozenset({i}))
+            lang = boolean_combine(spoke_and_switch, Dfa(aut.alphabet, aut.d3, y, frozenset({y})), "and")
+            if lang.finals:
+                langs[y] = lang
+    return langs
 
 
 def extract_expr(aut: LassoAutomaton) -> LassoExpr:
     """Lasso expression for the accepted language.
 
     The loop language of spoke state x and final loop state y is the set
-    of loop words that switch from x into y.
+    of loop words that switch from x into y (`_switch_langs`).
     """
-    return _extract(aut, Circle, lambda x, y: loop_dfa(aut, x, frozenset({y})))
+    return _extract(aut, Circle, _switch_langs)
 
 
 def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
@@ -124,7 +171,8 @@ def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
     For each reachable spoke state x and final loop state y the loop
     component is the intersection of three DFAs: words returning x to x
     along the spoke, words switching from x into y, and words returning
-    y to y along the loop.  Raises if the automaton is not saturated.
+    y to y along the loop (`_omega_loop_langs`, one product of the first
+    two per x).  Raises if the automaton is not saturated.
     """
     sat, pair = is_saturated(aut)
     if not sat:
@@ -132,14 +180,7 @@ def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
             f"automaton is not saturated (e.g. {pair[0]} accepted but {pair[1]} rejected); "
             "omega extraction requires saturation"
         )
-
-    def loop_lang(x: int, y: int) -> Dfa:
-        spoke_return = Dfa(aut.alphabet, aut.d1, x, frozenset({x}))
-        loop_return = Dfa(aut.alphabet, aut.d3, y, frozenset({y}))
-        switch = loop_dfa(aut, x, frozenset({y}))
-        return boolean_combine(boolean_combine(spoke_return, switch, "and"), loop_return, "and")
-
-    return _extract(aut, OmegaPower, loop_lang)
+    return _extract(aut, OmegaPower, _omega_loop_langs)
 
 
 def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lasso | None]:

@@ -261,10 +261,11 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     intersection is built once and dropped after its triples.  A triple
     maps to the loop expression of the minimal DFA of (t1 ∩ s1)·s0,
     through a per-call cache keyed by that DFA.  Many triples denote one
-    language, and a minimal DFA is canonical, so `root` and `dfa_to_expr`
-    run once per language.  Both minimize their input first, so keying
-    by the minimal DFA gives every triple the expression its own DFA
-    would give.
+    language, and a minimal DFA is canonical, so `root` runs once per
+    language.  Its result is minimal too, and many languages share one
+    root, so `dfa_to_expr` runs once per root DFA.  Both minimize their
+    input first, so keying by the minimal DFA gives every triple the
+    expression its own DFA would give.
 
     Applied to an expansion-closed input (such as h_map output) the
     result is saturated; on arbitrary inputs a single application need
@@ -288,6 +289,8 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
                 triples.setdefault((t1, s1), []).append(s0)
     # an empty intersection is keyed None and has no loop expression
     loops: dict[Dfa | None, RatExpr | None] = {None: None}
+    # many languages share one root, a minimal DFA as well
+    root_exprs: dict[Dfa, RatExpr | None] = {}
     loop_of: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
     for (t1, s1), s0s in triples.items():
         # the product and root's minimal result hold only reachable
@@ -298,7 +301,9 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
                 lang = minimize_dfa(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
                 if lang not in loops:
                     rt = root(lang)
-                    loops[lang] = dfa_to_expr(rt) if rt.finals else None
+                    if rt not in root_exprs:
+                        root_exprs[rt] = dfa_to_expr(rt) if rt.finals else None
+                    loops[lang] = root_exprs[rt]
                 loop_of[t1, s1, s0] = loops[lang]
     pairs = []
     for t_splits, s_splits in splits:

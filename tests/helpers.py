@@ -12,6 +12,7 @@ from collections import deque
 from lassokit.langops import (
     Dfa,
     boolean_combine,
+    compile_dfa,
     complement,
     equivalent_dfa,
     explore,
@@ -105,6 +106,17 @@ def minimize_dfa_oracle(d: Dfa) -> Dfa:
     class_rows = tuple(tuple(cls[t] for t in rows[member[c]]) for c in range(len(member)))
     finals = frozenset(cls[index[q]] for q in d.finals if q in index)
     return Dfa(d.alphabet, class_rows, 0, finals)
+
+
+def certify_oracle(e: RatExpr, d: Dfa) -> tuple[bool, str | None]:
+    """L(e) = L(d) decided on the derivative automaton of e: (True, None),
+    or (False, the length-lex least word on which they differ).
+
+    `langops.dfa_to_expr` certifies its result on the position automaton
+    of the expression instead, which shares nothing with `compile_dfa`;
+    the two must agree on the verdict and on the word.
+    """
+    return equivalent_dfa(compile_dfa(e, d.alphabet), d)
 
 
 def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:

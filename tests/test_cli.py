@@ -255,6 +255,18 @@ class TestErrors:
         assert out == ""
         assert err == "internal error: self-check failed\n"
 
+    def test_extract_self_check_is_exit_3(self, capsys, monkeypatch):
+        from lassokit import Alphabet, compile_dfa, lassoaut
+        from lassokit.syntax import parse_rexp
+
+        # a loop language with the empty word
+        nullable = compile_dfa(parse_rexp("1+a"), Alphabet(("a", "b")))
+        monkeypatch.setattr(lassoaut, "_switch_langs", lambda aut, x: {0: nullable})
+        code, out, err = run(capsys, "extract", FIG1)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: loop language contained the empty word\n"
+
 
 class TestGoldenAgainstLibrary:
     """CLI output parsed back must equal the library result."""

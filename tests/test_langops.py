@@ -1,14 +1,18 @@
+import ast
 import random
+import re
+from collections import Counter
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import minimize_dfa_oracle, random_lauto, random_rexp
+from helpers import certify_oracle, minimize_dfa_oracle, random_lauto, random_rexp
 from lassokit import langops
 from lassokit import (
     Alphabet,
     AlphabetMismatchError,
+    CertificationError,
     ONE,
     StateLimitError,
     ZERO,
@@ -313,6 +317,8 @@ CAPPED = {
     "compile_lasso": ("spoke closure", partial(compile_lasso, parse_lexp("(a+b)*a(a+b)(a+b)(a@)"), AB)),
     "equivalent_lasso": ("spoke product", partial(equivalent_lasso, spoke_only(A_MOD_3), spoke_only(B_MOD_2))),
     "is_empty_dfa": ("emptiness check", partial(is_empty_dfa, compile_dfa(parse_rexp("(a+b)*a(a+b)(a+b)"), AB))),
+    # 4 states, so only the certificate's pairs go beyond the patched cap
+    "dfa_to_expr": ("certificate product", partial(dfa_to_expr, minimize_dfa(compile_dfa(parse_rexp("(a+b)*a(a+b)"), AB)))),
 }
 
 
@@ -398,6 +404,66 @@ class TestMinimize:
         # states not reachable from the initial one are common at these sizes
         d = Dfa(Alphabet(tuple(letters)), tuple(trans), data.draw(state), finals)
         assert minimize_dfa(d) == minimize_dfa_oracle(d)
+
+
+def certificate(e, d) -> tuple[bool, str | None]:
+    """dfa_to_expr's certificate of e for d: (True, None) if it passes,
+    else (False, the word its error names)."""
+    try:
+        langops._certify(e, d)
+    except CertificationError as err:
+        found = re.fullmatch(r"state elimination produced a wrong expression \(differs on (.*)\)", str(err))
+        return False, ast.literal_eval(found.group(1))
+    return True, None
+
+
+def random_dfa(rng: random.Random, n: int) -> Dfa:
+    trans = tuple(tuple(rng.randrange(n) for _ in AB) for _ in range(n))
+    return Dfa(AB, trans, rng.randrange(n), frozenset(q for q in range(n) if rng.random() < 0.4))
+
+
+class TestCertificate:
+    def test_agrees_with_derivative_oracle(self):
+        rng = random.Random(61)
+        verdicts = Counter()
+        for _ in range(400):
+            e = random_rexp(rng, "ab", 3)
+            other = compile_dfa(random_rexp(rng, "ab", 3), AB)
+            kind = rng.randrange(7)
+            if kind == 0:
+                d = compile_dfa(e, AB)
+            elif kind == 1:
+                d = renumbered(minimize_dfa(compile_dfa(e, AB)), rng)
+            elif kind == 2:
+                d = complement(compile_dfa(e, AB))
+            elif kind == 3:
+                d = rng.choice([other, complement(other)])
+            elif kind == 4:
+                d = boolean_combine(compile_dfa(e, AB), other, rng.choice(["and", "or", "diff", "xor"]))
+            elif kind == 5:
+                d = random_dfa(rng, rng.randint(1, 6))
+            else:
+                # the expression of a random DFA against that DFA and a perturbed copy
+                d = random_dfa(rng, rng.randint(1, 6))
+                e = dfa_to_expr(d)
+                if rng.random() < 0.5:
+                    d = Dfa(AB, d.trans, d.initial, d.finals ^ {rng.randrange(d.n_states)})
+            got = certificate(e, d)
+            assert got == certify_oracle(e, d), (e, d)
+            verdicts[got[0]] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+    @pytest.mark.parametrize(
+        "wrong, witness", [("a(bb)*", "ab"), ("1+ab*", ""), ("ab*+bb", "bb"), ("0", "a"), ("(a+b)b*", "b")]
+    )
+    def test_wrong_elimination_is_caught(self, monkeypatch, wrong, witness):
+        d = compile_dfa(parse_rexp("ab*"), AB)
+        term = normalize_b(parse_rexp(wrong))
+        assert certify_oracle(term, d) == (False, witness)
+        monkeypatch.setattr(langops, "_eliminate", lambda m: term)
+        message = f"state elimination produced a wrong expression (differs on {witness!r})"
+        with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+            dfa_to_expr(d)
 
 
 def renumbered(d: Dfa, rng: random.Random) -> Dfa:

@@ -10,9 +10,11 @@ from lassokit import lassoaut
 from lassokit import (
     Alphabet,
     AutomatonFormatError,
+    CertificationError,
     Lasso,
     LassoAutomaton,
     accepts,
+    boolean_combine,
     compile_dfa,
     compile_lasso,
     enumerate_lassos,
@@ -26,6 +28,7 @@ from lassokit import (
     lasso_to_dot,
     loop_dfa,
     member_lasso_naive,
+    minimize_dfa,
     minimize_lasso,
     parse_lexp,
     parse_oexpr,
@@ -114,6 +117,58 @@ class TestExtract:
         rho = parse_lexp("b(a*b@)")
         for l in enumerate_lassos(AB, 4, 4):
             assert member_lasso_naive(expr, l) == member_lasso_naive(rho, l), l
+
+
+def switch_langs_oracle(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
+    """The per-pair construction `lassoaut._switch_langs` replaced: one
+    loop DFA and one emptiness search per final loop state y."""
+    langs = {}
+    for y in sorted(aut.finals):
+        d = loop_dfa(aut, x, frozenset({y}))
+        if not is_empty_dfa(d)[0]:
+            langs[y] = d
+    return langs
+
+
+def omega_loop_langs_oracle(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
+    """The per-pair construction `lassoaut._omega_loop_langs` replaced: two
+    products and one emptiness search per final loop state y."""
+    langs = {}
+    for y in sorted(aut.finals):
+        spoke_return = Dfa(aut.alphabet, aut.d1, x, frozenset({x}))
+        loop_return = Dfa(aut.alphabet, aut.d3, y, frozenset({y}))
+        switch = loop_dfa(aut, x, frozenset({y}))
+        d = boolean_combine(boolean_combine(spoke_return, switch, "and"), loop_return, "and")
+        if not is_empty_dfa(d)[0]:
+            langs[y] = d
+    return langs
+
+
+@pytest.mark.parametrize(
+    "langs, oracle",
+    [(lassoaut._switch_langs, switch_langs_oracle), (lassoaut._omega_loop_langs, omega_loop_langs_oracle)],
+)
+def test_loop_langs_equal_per_pair_oracle(langs, oracle):
+    # the same (x, y) pairs kept, in the same order, with the same languages
+    rng = random.Random(71)
+    saturated = 0
+    for _ in range(150):
+        aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, 6))
+        saturated += is_saturated(aut)[0]
+        for x in lassoaut._spoke_access_words(aut):
+            new, old = langs(aut, x), oracle(aut, x)
+            assert list(new) == list(old), (aut, x)
+            for y in new:
+                assert minimize_dfa(new[y]) == minimize_dfa(old[y]), (aut, x, y)
+    assert 30 <= saturated <= 120
+
+
+def test_nullable_loop_language_is_certification_error(fig1, monkeypatch):
+    # a loop expression with the empty word fails the self-check, also
+    # under `python -O`
+    monkeypatch.setattr(lassoaut, "_switch_langs", lambda aut, x: {0: compile_dfa(parse_rexp("1+a"), AB)})
+    with pytest.raises(CertificationError, match="^loop language contained the empty word$"):
+        extract_expr(fig1)
 
 
 class TestExtractOmega:
