@@ -10,7 +10,9 @@ Every construction that builds states (derivative closures, products,
 subset and transformation closures, minimization, and the lasso
 automaton constructions in `lassoexp` and `lassoaut`) goes through
 `explore`, the one breadth-first closure and the one place that applies
-`STATE_CAP`.
+`STATE_CAP`.  `quotient` partitions one closure, of one start or of
+many, by language; `class_dfa` reads a class off it as its canonical
+minimal DFA, which is all that `minimize_dfa` does.
 
 State elimination (`dfa_to_expr`) certifies every expression it returns
 on the expression's position automaton (Glushkov, "The abstract theory
@@ -98,6 +100,10 @@ class Dfa:
     # presentation metadata, not part of equality: the state terms of a
     # derivative automaton, printed only when `labels` is read
     terms: tuple[RatExpr, ...] | None = field(default=None, compare=False, repr=False)
+    # set only by `class_dfa`, the quotient readout of `minimize_dfa`: the
+    # automaton is already the canonical minimal one, which `minimize_dfa`
+    # then returns unchanged; not part of equality, hash or repr
+    minimal: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def labels(self) -> tuple[str, ...] | None:
@@ -155,20 +161,53 @@ def moore_classes(keys: list[Hashable], rows: list[tuple[int, ...]]) -> list[int
         count = len(sig)
 
 
+def quotient(
+    starts: Iterable[S], successors: Callable[[S], Iterable[S]], is_final: Callable[[S], bool], what: str
+) -> tuple[list[int], list[tuple[int, ...]], set[int]]:
+    """One `explore` closure of `starts`, partitioned by language.
+
+    `moore_classes` separates final from non-final states, so two states
+    share a class exactly when they accept the same words.  Returns the
+    class of each start (in the order given), the quotient's rows (one
+    per class, its successors' classes by letter) and the final classes.
+    The closure's own numbering is dropped on return.
+    """
+    index, rows = explore(starts, successors, what)
+    keys = [is_final(state) for state in index]
+    cls = moore_classes(keys, rows)
+    # all members of a class step into the same classes
+    member = {c: q for q, c in enumerate(cls)}
+    class_rows = [tuple(cls[t] for t in rows[member[c]]) for c in range(len(member))]
+    return [cls[index[state]] for state in starts], class_rows, {c for c, k in zip(cls, keys) if k}
+
+
+def class_dfa(alphabet: Alphabet, rows: list[tuple[int, ...]], finals: set[int], start: int | None = None) -> Dfa:
+    """The canonical minimal DFA of class `start` of a `quotient`: the
+    classes it reaches, numbered breadth-first from it.  Without `start`,
+    `rows` is the quotient of a closure of one start, whose classes
+    `moore_classes` already numbered breadth-first from class 0, so none
+    is renumbered.  The result is marked minimal (`Dfa.minimal`)."""
+    if start is None:
+        d = Dfa(alphabet, tuple(rows), 0, frozenset(finals))
+    else:
+        index, class_rows = explore([start], rows.__getitem__, "minimization")
+        d = Dfa(alphabet, tuple(class_rows), 0, frozenset(i for c, i in index.items() if c in finals))
+    object.__setattr__(d, "minimal", True)
+    return d
+
+
 def minimize_dfa(d: Dfa) -> Dfa:
-    """Moore partition refinement (`moore_classes`) on the reachable part,
+    """Moore partition refinement (`quotient`) on the reachable part,
     finals apart from the other states; language-preserving.
 
     The result is canonical: states are numbered breadth-first from the
-    initial state, so two DFAs for the same language minimize to equal
-    `Dfa`s."""
-    index, rows = explore([d.initial], d.trans.__getitem__, "minimization")
-    cls = moore_classes([q in d.finals for q in index], rows)
-    # all members of a class step into the same classes
-    member = {c: q for q, c in enumerate(cls)}
-    class_rows = tuple(tuple(cls[t] for t in rows[member[c]]) for c in range(len(member)))
-    finals = frozenset(cls[index[q]] for q in d.finals if q in index)
-    return Dfa(d.alphabet, class_rows, 0, finals)
+    initial state (`class_dfa`), so two DFAs for the same language
+    minimize to equal `Dfa`s.  A DFA that `class_dfa` built is returned
+    as it is."""
+    if d.minimal:
+        return d
+    _, rows, finals = quotient([d.initial], d.trans.__getitem__, d.finals.__contains__, "minimization")
+    return class_dfa(d.alphabet, rows, finals)
 
 
 # the final-state rule of each product, on (final in d1, final in d2)

@@ -7,7 +7,11 @@ The pipeline has three stages.  `h_map` translates an omega expression
 into a disjunctive form whose lassos denote exactly the ultimately
 periodic words of the expression, and whose lasso set is closed under
 rewrite expansion.  `gamma_map` then closes the set under rewrite
-reduction using splitting, intersection and the root operation.
+reduction using splitting, intersection and the root operation.  It
+builds the automata of all its split triples in three shared closures
+(derivatives, products, concatenations), each partitioned once by
+language (Moore, "Gedanken-experiments on sequential machines", 1956),
+so it takes one root per distinct loop language.
 `compile_lasso` turns that γ-closed form into the minimal lasso
 automaton of its lassos, built on the minimal DFAs of its loops, with
 no state labels.  Saturation is a property of the accepted lassos
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .errors import CertificationError
-from .langops import Dfa, boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, minimize_dfa, root
+from .langops import Dfa, class_dfa, compile_dfa, dfa_to_expr, quotient, root
 # the omega expression tree is lassoexp's tailed-expression tree; its
 # public names are re-exported here
 from .lassoexp import (
@@ -53,7 +58,7 @@ from .lassoexp import (
 )
 from .lassoaut import is_saturated
 from .lassos import Lasso
-from .ratexp import Alphabet, RatExpr, alphabet_of, ewp, normalize_b, rcat, rstar, split
+from .ratexp import Alphabet, RatExpr, alphabet_of, deriv, ewp, normalize_b, rcat, rstar, split
 
 
 def _oexp_alphabet(T: OmegaExpr, alphabet: Alphabet | None) -> Alphabet:
@@ -257,15 +262,29 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     back to an expression, so the expression grammar stays plain.  Pairs
     with an empty loop language are dropped.
 
-    The distinct triples (t1, s1, s0) are grouped by (t1, s1), so each
-    intersection is built once and dropped after its triples.  A triple
-    maps to the loop expression of the minimal DFA of (t1 ∩ s1)·s0,
-    through a per-call cache keyed by that DFA.  Many triples denote one
-    language, and a minimal DFA is canonical, so `root` runs once per
-    language.  Its result is minimal too, and many languages share one
-    root, so `dfa_to_expr` runs once per root DFA.  Both minimize their
-    input first, so keying by the minimal DFA gives every triple the
-    expression its own DFA would give.
+    Every distinct triple (t1, s1, s0) of the call is handled in three
+    shared closures, each partitioned once by language (`quotient`), so
+    equal languages get equal class numbers:
+    1. one derivative closure from every distinct t1, s1 and s0;
+    2. one product closure from every (t1, s1) pair of derivative
+       classes; the intersection of a pair is empty when its class is the
+       non-final class whose every letter loops back to it;
+    3. one concatenation closure from every (intersection class, s0) of a
+       nonempty intersection, on `concat_dfa`'s rule: a state is an
+       intersection class, s0, and the set of s0's derivative classes
+       entered so far as an int bit mask, and s0 joins the set whenever
+       the intersection class is final (once the intersection class is
+       the empty one, s0 can enter no more and is dropped from the state).
+    A triple's loop language is the class of its start in the third
+    closure.  `root` runs once per class, on the class's canonical
+    minimal DFA (`class_dfa`), and `dfa_to_expr` once per root DFA, a
+    minimal DFA as well.  Both depend only on the language, so every
+    triple gets the expression its own DFA would give.
+
+    Each closure counts the states of all of the call's triples against
+    `STATE_CAP`, and raises StateLimitError ("gamma derivative
+    closure", "gamma product automaton", "gamma concatenation
+    automaton") beyond it.
 
     Applied to an expansion-closed input (such as h_map output) the
     result is saturated; on arbitrary inputs a single application need
@@ -273,46 +292,82 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     """
     if alphabet is None:
         alphabet = alphabet_of(df_letters(df))
-    # many split keys share a t1 or an s1; each is compiled once per call
-    dfas: dict[RatExpr, Dfa] = {}
-
-    def dfa_of(e: RatExpr) -> Dfa:
-        if e not in dfas:
-            dfas[e] = compile_dfa(e, alphabet)
-        return dfas[e]
-
     splits = [(split(t), split(s)) for t, s in df.pairs]
-    triples: dict[tuple[RatExpr, RatExpr], list[RatExpr]] = {}  # (t1, s1) -> its s0s
-    for t_splits, s_splits in splits:
-        for _, t1 in t_splits:
-            for s0, s1 in s_splits:
-                triples.setdefault((t1, s1), []).append(s0)
-    # an empty intersection is keyed None and has no loop expression
-    loops: dict[Dfa | None, RatExpr | None] = {None: None}
-    # many languages share one root, a minimal DFA as well
-    root_exprs: dict[Dfa, RatExpr | None] = {}
-    loop_of: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
-    for (t1, s1), s0s in triples.items():
-        # the product and root's minimal result hold only reachable
-        # states: each is empty iff it has no finals
-        inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
-        for s0 in s0s:
-            if (t1, s1, s0) not in loop_of:
-                lang = minimize_dfa(concat_dfa(inter, dfa_of(s0))) if inter.finals else None
-                if lang not in loops:
-                    rt = root(lang)
-                    if rt not in root_exprs:
-                        root_exprs[rt] = dfa_to_expr(rt) if rt.finals else None
-                    loops[lang] = root_exprs[rt]
-                loop_of[t1, s1, s0] = loops[lang]
-    pairs = []
+    exprs = list(dict.fromkeys(
+        e for t_splits, s_splits in splits for e in chain((t1 for _, t1 in t_splits), *s_splits)
+    ))
+    expr_cls, deriv_rows, deriv_finals = quotient(
+        [normalize_b(e) for e in exprs], lambda e: [deriv(e, a) for a in alphabet], ewp, "gamma derivative closure"
+    )
+    class_of = dict(zip(exprs, expr_cls))
+    # the split pairs by class: (t0, t1's class) and (s0's class, s1's class)
+    splits = [
+        ([(t0, class_of[t1]) for t0, t1 in t_splits], [(class_of[s0], class_of[s1]) for s0, s1 in s_splits])
+        for t_splits, s_splits in splits
+    ]
+    # the distinct (t1, s1, s0) triples of classes
+    keys = list(dict.fromkeys(
+        (t1, s1, s0) for t_splits, s_splits in splits for _, t1 in t_splits for s0, s1 in s_splits
+    ))
+
+    pairs = [(t1, s1) for t1, s1, _ in keys]
+    pair_cls, inter_rows, inter_finals = quotient(
+        pairs,
+        lambda pq: zip(deriv_rows[pq[0]], deriv_rows[pq[1]]),
+        lambda pq: pq[0] in deriv_finals and pq[1] in deriv_finals,
+        "gamma product automaton",
+    )
+    # the one class of the empty language, if any: non-final, every letter loops
+    empty = next((c for c, row in enumerate(inter_rows) if c not in inter_finals and all(t == c for t in row)), None)
+
+    bits = [tuple(1 << t for t in row) for row in deriv_rows]
+    final_mask = sum(1 << c for c in deriv_finals)
+    moves: dict[int, tuple[int, ...]] = {}  # set of derivative classes -> its successor set per letter
+
+    def step(mask: int) -> tuple[int, ...]:
+        if mask not in moves:
+            reach, rest = [0] * len(alphabet), mask
+            while rest:
+                low = rest & -rest
+                reach = [r | b for r, b in zip(reach, bits[low.bit_length() - 1])]
+                rest ^= low
+            moves[mask] = tuple(reach)
+        return moves[mask]
+
+    def enter(c: int, s0: int, mask: int) -> tuple[int, int, int]:
+        if c == empty:
+            return (c, -1, mask)
+        return (c, s0, mask | 1 << s0) if c in inter_finals else (c, s0, mask)
+
+    def successors(state: tuple[int, int, int]):
+        c, s0, mask = state
+        return [enter(c2, s0, m2) for c2, m2 in zip(inter_rows[c], step(mask))]
+
+    live = [(key, c) for key, c in zip(keys, pair_cls) if c != empty]
+    lang_cls, lang_rows, lang_finals = quotient(
+        [enter(c, key[2], 0) for key, c in live],
+        successors,
+        lambda state: bool(state[2] & final_mask),
+        "gamma concatenation automaton",
+    )
+
+    loops: dict[int, RatExpr | None] = {}  # language class -> loop expression
+    root_exprs: dict[Dfa, RatExpr | None] = {}  # many languages share one root
+    for c in lang_cls:
+        if c not in loops:
+            rt = root(class_dfa(alphabet, lang_rows, lang_finals, c))
+            if rt not in root_exprs:
+                root_exprs[rt] = dfa_to_expr(rt) if rt.finals else None
+            loops[c] = root_exprs[rt]
+    loop_of = {key: loops[c] for (key, _), c in zip(live, lang_cls)}
+    out = []
     for t_splits, s_splits in splits:
         for t0, t1 in t_splits:
             for s0, s1 in s_splits:
-                loop = loop_of[t1, s1, s0]
+                loop = loop_of.get((t1, s1, s0))
                 if loop is not None:
-                    pairs.append((t0, loop))
-    return DisjunctiveForm(tuple(pairs))
+                    out.append((t0, loop))
+    return DisjunctiveForm(tuple(out))
 
 
 def represent(T: OmegaExpr, alphabet: Alphabet | None = None) -> DisjunctiveForm:

@@ -14,15 +14,18 @@ from lassokit.langops import (
     boolean_combine,
     compile_dfa,
     complement,
+    concat_dfa,
+    dfa_to_expr,
     equivalent_dfa,
     explore,
     is_empty_dfa,
     left_derivative,
+    minimize_dfa,
     right_quotient,
     root,
 )
 from lassokit.lassoaut import LassoAutomaton, _power_witness, _spoke_access_words, accepts, loop_dfa
-from lassokit.lassoexp import Circle, LSum, LZERO, LassoExpr, Prefix
+from lassokit.lassoexp import Circle, DisjunctiveForm, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
 from lassokit.omega import OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _oexp_alphabet, to_nba
 from lassokit.ratexp import (
@@ -37,6 +40,7 @@ from lassokit.ratexp import (
     ZERO,
     Zero,
     ewp,
+    split,
 )
 
 
@@ -117,6 +121,51 @@ def certify_oracle(e: RatExpr, d: Dfa) -> tuple[bool, str | None]:
     the two must agree on the verdict and on the word.
     """
     return equivalent_dfa(compile_dfa(e, d.alphabet), d)
+
+
+def gamma_map_oracle(df: DisjunctiveForm, alphabet: Alphabet) -> DisjunctiveForm:
+    """γ one triple at a time: for each split (t0, t1) of t and (s0, s1)
+    of s, the loop expression of root(minimal DFA of (t1 ∩ s1)·s0), with
+    (t1 ∩ s1) a `boolean_combine` of the compiled DFAs and the
+    concatenation a `concat_dfa`; triples with an empty intersection or
+    an empty root are dropped.
+
+    `omega.gamma_map` instead builds one derivative, one product and one
+    concatenation closure per call and tells the languages apart by
+    class number; the two must return equal pairs in the same order.
+    Distinct triples and distinct languages are converted once here too,
+    so the oracle stays fast enough for property tests.
+    """
+    dfas: dict[RatExpr, Dfa] = {}
+    loop_of: dict[tuple[RatExpr, RatExpr, RatExpr], RatExpr | None] = {}
+    loops: dict[Dfa, RatExpr | None] = {}
+
+    def dfa_of(e: RatExpr) -> Dfa:
+        if e not in dfas:
+            dfas[e] = compile_dfa(e, alphabet)
+        return dfas[e]
+
+    def loop(t1: RatExpr, s1: RatExpr, s0: RatExpr) -> RatExpr | None:
+        if (t1, s1, s0) not in loop_of:
+            inter = boolean_combine(dfa_of(t1), dfa_of(s1), "and")
+            if not inter.finals:
+                loop_of[t1, s1, s0] = None
+            else:
+                lang = minimize_dfa(concat_dfa(inter, dfa_of(s0)))
+                if lang not in loops:
+                    rt = root(lang)
+                    loops[lang] = dfa_to_expr(rt) if rt.finals else None
+                loop_of[t1, s1, s0] = loops[lang]
+        return loop_of[t1, s1, s0]
+
+    pairs = []
+    for t, s in df.pairs:
+        for t0, t1 in split(t):
+            for s0, s1 in split(s):
+                e = loop(t1, s1, s0)
+                if e is not None:
+                    pairs.append((t0, e))
+    return DisjunctiveForm(tuple(pairs))
 
 
 def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:

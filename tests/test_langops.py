@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import random
 import re
 from collections import Counter
@@ -26,17 +27,20 @@ from lassokit import (
     enumerate_language,
     equivalent_dfa,
     equivalent_lasso,
+    gamma_map,
+    h_map,
     is_empty_dfa,
     left_derivative,
     member_naive,
     minimize_dfa,
     normalize_b,
     parse_lexp,
+    parse_oexpr,
     right_quotient,
     root,
     run_dfa,
 )
-from lassokit.langops import Dfa, explore
+from lassokit.langops import Dfa, class_dfa, explore, quotient
 from lassokit.lassoaut import LassoAutomaton, loop_dfa
 from lassokit.ratexp import rcat, words_up_to
 from lassokit.syntax import parse_rexp
@@ -319,6 +323,8 @@ CAPPED = {
     "is_empty_dfa": ("emptiness check", partial(is_empty_dfa, compile_dfa(parse_rexp("(a+b)*a(a+b)(a+b)"), AB))),
     # 4 states, so only the certificate's pairs go beyond the patched cap
     "dfa_to_expr": ("certificate product", partial(dfa_to_expr, minimize_dfa(compile_dfa(parse_rexp("(a+b)*a(a+b)"), AB)))),
+    # the first of γ's three shared closures, over all of the call's triples
+    "gamma_map": ("gamma derivative closure", partial(gamma_map, h_map(parse_oexpr("(ab+b)$", AB)), AB)),
 }
 
 
@@ -390,6 +396,57 @@ class TestMinimize:
             assert minimize_dfa(renumbered(d, rng)) == m
             assert minimize_dfa(m) == m
             assert m.n_states == residual_count(d)
+
+    def test_minimal_output_returned_unchanged(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            d = compile_dfa(random_rexp(rng, "ab", 4), AB)
+            m = minimize_dfa(d)
+            assert m.minimal and minimize_dfa(m) is m
+            assert root(m).minimal
+            # the mark is not part of equality, hash or repr
+            by_hand = Dfa(m.alphabet, m.trans, m.initial, m.finals)
+            assert not by_hand.minimal
+            assert (by_hand, hash(by_hand), repr(by_hand)) == (m, hash(m), repr(m))
+            assert minimize_dfa(by_hand) == m and minimize_dfa(by_hand) is not by_hand
+            # automata derived from a minimal one are minimized again
+            for derived in (
+                complement(m),
+                left_derivative(m, "a"),
+                left_derivative(m, "b"),
+                dataclasses.replace(m, initial=m.trans[m.initial][0]),
+            ):
+                assert not derived.minimal
+                assert minimize_dfa(derived) == minimize_dfa_oracle(derived)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_readout_equals_minimize(self, data):
+        # a disjoint union of random DFAs, closed from every state at
+        # once: each start's class reads out as its own minimal DFA, and
+        # two starts share a class exactly when their languages are equal
+        letters = "abc"[: data.draw(st.integers(1, 3))]
+        alphabet = Alphabet(tuple(letters))
+        dfas = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(1, 8))
+            state = st.integers(0, n - 1)
+            trans = data.draw(st.lists(st.tuples(*[state] * len(letters)), min_size=n, max_size=n))
+            dfas.append(Dfa(alphabet, tuple(trans), 0, data.draw(st.frozensets(state))))
+        starts = [(i, q) for i, d in enumerate(dfas) for q in range(d.n_states)]
+        cls, rows, finals = quotient(
+            starts,
+            lambda iq: [(iq[0], t) for t in dfas[iq[0]].trans[iq[1]]],
+            lambda iq: iq[1] in dfas[iq[0]].finals,
+            "disjoint union",
+        )
+        minimal = [minimize_dfa(Dfa(alphabet, dfas[i].trans, q, dfas[i].finals)) for i, q in starts]
+        for c, m in zip(cls, minimal):
+            read = class_dfa(alphabet, rows, finals, c)
+            assert read == m and read.minimal
+        for c1, m1 in zip(cls, minimal):
+            for c2, m2 in zip(cls, minimal):
+                assert (c1 == c2) == (m1 == m2)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

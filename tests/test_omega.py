@@ -5,7 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gamma_class_upto, random_lexp, random_oexp, random_rexp, rexp_size, up_member_oracle
+from helpers import (
+    gamma_class_upto,
+    gamma_map_oracle,
+    random_lexp,
+    random_oexp,
+    random_rexp,
+    rexp_size,
+    up_member_oracle,
+)
 from lassokit import (
     Alphabet,
     DisjunctiveForm,
@@ -15,6 +23,7 @@ from lassokit import (
     OZERO,
     OmegaPower,
     ParseError,
+    StateLimitError,
     accepts,
     compile_lasso,
     df_member,
@@ -37,7 +46,7 @@ from lassokit import (
     to_nba,
     up_member,
 )
-from lassokit import omega
+from lassokit import langops, omega
 from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, minimize_dfa, root
 from lassokit.lassoaut import extract_omega_expr, write_automaton
 from lassokit.lassoexp import df_to_lexp, df_to_str
@@ -52,8 +61,9 @@ CORPUS = ["a$", "(ab)$", "a(ba)$", "(a+b)*a$", "(aa)$+b((ab)$)", "b(a+b*)(a$)"]
 # minimal lasso automaton
 PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "pipeline_automata.json").read_text())
 # expression over ab -> {"automaton": `write_automaton` text of its pipeline
-# output, "represent": `df_to_str` of its disjunctive form, recorded before
-# gamma_map cached loop expressions by language}
+# output, "represent": `df_to_str` of its disjunctive form, recorded when
+# gamma_map still built one DFA per (t1, s1, s0) triple; sharing work
+# between triples must leave both texts as they are}
 HARD_PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "hard_pipeline_automata.json").read_text())
 # expression -> `write_automaton` text of its pipeline output as pinned
 # before the pipeline returned the minimal automaton: the Brzozowski
@@ -259,11 +269,46 @@ class TestGammaMap:
                     cls = gamma_class_upto(l, 9, 9)
                     assert any(df_member(tau, c) for c in cls), (tau, l)
 
+    def test_equals_per_triple_oracle(self):
+        # h_map output and disjunctive forms of lasso expressions, which
+        # are not expansion-closed
+        rng = random.Random(29)
+        for _ in range(40):
+            depth = rng.choice((2, 3))
+            for df in (h_map(random_oexp(rng, "ab", depth)), disjunctive_form(random_lexp(rng, "ab", depth))):
+                assert gamma_map(df, AB).pairs == gamma_map_oracle(df, AB).pairs, df
+
+    @given(st.randoms(use_true_random=False), st.sampled_from((2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_triple_oracle_property(self, rng, depth):
+        for df in (h_map(random_oexp(rng, "ab", depth)), disjunctive_form(random_lexp(rng, "ab", depth))):
+            assert gamma_map(df, AB).pairs == gamma_map_oracle(df, AB).pairs, df
+
+    def test_state_cap_reaches_each_shared_closure(self, monkeypatch):
+        # the closures run in turn, each counting all of the call's states:
+        # as the cap rises, the one that stops the call moves from the
+        # derivative closure through the product to the concatenation
+        df = h_map(parse_oexpr("(ab+b)$", AB))
+        stopped = []
+        for cap in range(1, 400):
+            monkeypatch.setattr(langops, "STATE_CAP", cap)
+            try:
+                gamma_map(df, AB)
+                break
+            except StateLimitError as e:
+                what = str(e).removesuffix(f" exceeded {cap} states")
+                if what not in stopped:
+                    stopped.append(what)
+        assert stopped == ["gamma derivative closure", "gamma product automaton", "gamma concatenation automaton"]
+        assert gamma_map(df, AB).pairs == gamma_map_oracle(df, AB).pairs
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_loop_language_matches_expression_round_trip(self, rng):
-        # gamma_map concatenates the DFAs of t1 ∩ s1 and s0; the root must be
-        # the same Dfa as through the expression of t1 ∩ s1 followed by s0
+        # γ takes the root of (t1 ∩ s1)·s0 built on automata, never on an
+        # expression of the intersection (here one concat_dfa per triple, as
+        # in gamma_map_oracle); the root must be the same Dfa as through the
+        # expression of t1 ∩ s1 followed by s0
         t, s = random_rexp(rng, "ab", 3), random_rexp(rng, "ab", 3)
         keys = [(t1, s0, s1) for _, t1 in split(t) for s0, s1 in split(s)]
         rng.shuffle(keys)
