@@ -64,25 +64,43 @@ def _word_literal(w: str) -> str:
     return w if w else "''"
 
 
-def _alphabet_arg(args, *words: str) -> Alphabet | None:
-    """The --alphabet override (None if not given); it must hold the letters of `words`."""
+# each expression option: its parser and the letters of a parsed expression
+_READERS = {
+    "rexp": (parse_rexp, letters_of),
+    "lexp": (parse_lexp, lexp_letters),
+    "oexp": (parse_oexpr, oexp_letters),
+}
+
+
+def _kind(args, options: tuple[str, ...]) -> str:
+    """The one expression option of `options` given on the command line."""
+    given = [k for k in options if getattr(args, k) is not None]
+    if len(given) != 1:
+        raise ParseError(f"{args.command} needs exactly one of {'/'.join(f'--{k}' for k in options)}")
+    return given[0]
+
+
+def _expression(args, kind: str, *words: str, warn: bool = False):
+    """The parsed `--<kind>` expression and its alphabet.
+
+    With `--alphabet`, the letters of `words` (a `--word`, or a lasso's
+    spoke and loop) and of the expression must lie in it.  Without it, the
+    alphabet is inferred from those letters, with a note on stderr if
+    `warn` is set."""
+    parse, letters = _READERS[kind]
     alphabet = None if args.alphabet is None else Alphabet.parse(args.alphabet)
     for c in "".join(words):
         check_letter(c, alphabet)
-    return alphabet
-
-
-def _resolve_alphabet(explicit: Alphabet | None, letters: set[str], warn: bool = False) -> Alphabet:
-    if explicit is not None:
-        return explicit
-    alphabet = alphabet_of(letters)
-    if warn:
-        print(
-            f"note: alphabet inferred as {''.join(alphabet.letters)!r} "
-            "(override with --alphabet)",
-            file=sys.stderr,
-        )
-    return alphabet
+    expr = parse(getattr(args, kind), alphabet)
+    if alphabet is None:
+        alphabet = alphabet_of(letters(expr) | set("".join(words)))
+        if warn:
+            print(
+                f"note: alphabet inferred as {''.join(alphabet.letters)!r} "
+                "(override with --alphabet)",
+                file=sys.stderr,
+            )
+    return expr, alphabet
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -99,31 +117,25 @@ def _read_automaton_file(path: str):
 
 
 def cmd_member(args) -> int:
-    given = [k for k in ("rexp", "lexp", "oexp") if getattr(args, k) is not None]
-    if len(given) != 1:
-        raise ParseError("member needs exactly one of --rexp/--lexp/--oexp")
-    kind = given[0]
+    kind = _kind(args, ("rexp", "lexp", "oexp"))
+    operand = "word" if kind == "rexp" else "lasso"
+    if getattr(args, operand) is None:
+        raise ParseError(f"--{kind} requires --{operand}")
     if kind == "rexp":
-        if args.word is None:
-            raise ParseError("--rexp requires --word")
-        expr = parse_rexp(args.rexp, _alphabet_arg(args, args.word))
+        for c in args.word:
+            if not ("a" <= c <= "z"):
+                raise ParseError(f"invalid symbol {c!r} in word")
+        expr, _ = _expression(args, kind, args.word)
         ok = member_naive(expr, args.word)
         subject = f"word {_word_literal(args.word)}"
         target = rexp_to_str(expr)
     else:
-        if args.lasso is None:
-            raise ParseError(f"--{kind} requires --lasso")
         lasso = parse_lasso(args.lasso)
-        alphabet = _alphabet_arg(args, lasso.spoke, lasso.loop)
+        expr, alphabet = _expression(args, kind, lasso.spoke, lasso.loop)
         if kind == "lexp":
-            lexpr = parse_lexp(args.lexp, alphabet)
-            ok = member_lasso_naive(lexpr, lasso)
-            target = lexp_to_str(lexpr)
+            ok, target = member_lasso_naive(expr, lasso), lexp_to_str(expr)
         else:
-            oexpr = parse_oexpr(args.oexp, alphabet)
-            ab = _resolve_alphabet(alphabet, oexp_letters(oexpr) | set(lasso.spoke + lasso.loop))
-            ok = up_member(oexpr, lasso, ab)
-            target = oexp_to_str(oexpr)
+            ok, target = up_member(expr, lasso, alphabet), oexp_to_str(expr)
         subject = f"lasso {lasso}"
     print(f"{subject} is {'a member' if ok else 'not a member'} of {target}")
     print("yes" if ok else "no")
@@ -150,17 +162,12 @@ def cmd_equiv_lasso(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    if (args.rexp is None) == (args.lexp is None):
-        raise ParseError("compile needs exactly one of --rexp/--lexp")
-    alphabet = _alphabet_arg(args)
-    if args.rexp is not None:
-        expr = parse_rexp(args.rexp, alphabet)
-        ab = _resolve_alphabet(alphabet, letters_of(expr))
-        _emit(write_dfa(compile_dfa(expr, ab)), args.output)
+    kind = _kind(args, ("rexp", "lexp"))
+    expr, alphabet = _expression(args, kind)
+    if kind == "rexp":
+        _emit(write_dfa(compile_dfa(expr, alphabet)), args.output)
     else:
-        lexpr = parse_lexp(args.lexp, alphabet)
-        ab = _resolve_alphabet(alphabet, lexp_letters(lexpr))
-        _emit(write_automaton(compile_lasso(lexpr, ab)), args.output)
+        _emit(write_automaton(compile_lasso(expr, alphabet)), args.output)
     return 0
 
 
@@ -193,18 +200,16 @@ def cmd_saturated(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    alphabet = _alphabet_arg(args)
-    oexpr = parse_oexpr(args.oexp, alphabet)
-    ab = _resolve_alphabet(alphabet, oexp_letters(oexpr), warn=True)
+    oexpr, alphabet = _expression(args, "oexp", warn=True)
     if args.to == "automaton":
-        _emit(write_automaton(omega_to_omega_automaton(oexpr, ab)), args.output)
+        _emit(write_automaton(omega_to_omega_automaton(oexpr, alphabet)), args.output)
         return 0
-    _emit(df_to_str(represent(oexpr, ab)) + "\n", args.output)
+    _emit(df_to_str(represent(oexpr, alphabet)) + "\n", args.output)
     return 0
 
 
 def cmd_split(args) -> int:
-    expr = parse_rexp(args.rexp, _alphabet_arg(args))
+    expr, _ = _expression(args, "rexp")
     pairs = split(expr)
     print(f"{len(pairs)} split pairs of {rexp_to_str(expr)}")
     for left, right in pairs:
@@ -213,57 +218,44 @@ def cmd_split(args) -> int:
 
 
 def cmd_root(args) -> int:
-    alphabet = _alphabet_arg(args)
-    expr = parse_rexp(args.rexp, alphabet)
-    ab = _resolve_alphabet(alphabet, letters_of(expr), warn=True)
-    print(rexp_to_str(dfa_to_expr(root(compile_dfa(expr, ab)))))
+    expr, alphabet = _expression(args, "rexp", warn=True)
+    print(rexp_to_str(dfa_to_expr(root(compile_dfa(expr, alphabet)))))
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    given = [k for k in ("rexp", "lexp", "oexp") if getattr(args, k) is not None]
-    if len(given) != 1:
-        raise ParseError("enumerate needs exactly one of --rexp/--lexp/--oexp")
+    kind = _kind(args, ("rexp", "lexp", "oexp"))
     if args.maxlen < 0 or args.max_spoke < 0 or args.max_loop < 1:
         raise ParseError("enumeration bounds must be nonnegative (loop bound at least 1)")
-    alphabet = _alphabet_arg(args)
-    if args.rexp is not None:
-        expr = parse_rexp(args.rexp, alphabet)
-        ab = _resolve_alphabet(alphabet, letters_of(expr))
-        for w in enumerate_language(expr, args.maxlen, ab):
+    expr, alphabet = _expression(args, kind)
+    if kind == "rexp":
+        for w in enumerate_language(expr, args.maxlen, alphabet):
             print(_word_literal(w))
         return 0
-    if args.lexp is not None:
-        lexpr = parse_lexp(args.lexp, alphabet)
-        ab = _resolve_alphabet(alphabet, lexp_letters(lexpr))
-        check = lambda l: member_lasso_naive(lexpr, l)
+    if kind == "lexp":
+        check = lambda l: member_lasso_naive(expr, l)
     else:
-        oexpr = parse_oexpr(args.oexp, alphabet)
-        ab = _resolve_alphabet(alphabet, oexp_letters(oexpr))
-        check = lambda l: up_member(oexpr, l, ab)
-    for l in enumerate_lassos(ab, args.max_spoke, args.max_loop):
+        check = lambda l: up_member(expr, l, alphabet)
+    for l in enumerate_lassos(alphabet, args.max_spoke, args.max_loop):
         if check(l):
             print(str(l))
     return 0
 
 
 def cmd_dot(args) -> int:
-    sources = [args.file is not None, args.rexp is not None, args.lexp is not None]
-    if sum(sources) != 1:
+    if (args.file is not None) + (args.rexp is not None) + (args.lexp is not None) != 1:
         raise ParseError("dot needs exactly one of FILE/--rexp/--lexp")
-    if args.file is not None and args.alphabet is not None:
-        raise ParseError("dot FILE takes its alphabet from the file; --alphabet goes with --rexp/--lexp")
-    alphabet = _alphabet_arg(args)
     if args.file is not None:
+        if args.alphabet is not None:
+            raise ParseError("dot FILE takes its alphabet from the file; --alphabet goes with --rexp/--lexp")
         _emit(lasso_to_dot(_read_automaton_file(args.file)), args.output)
-    elif args.rexp is not None:
-        expr = parse_rexp(args.rexp, alphabet)
-        ab = _resolve_alphabet(alphabet, letters_of(expr))
-        _emit(dfa_to_dot(compile_dfa(expr, ab)), args.output)
+        return 0
+    kind = _kind(args, ("rexp", "lexp"))
+    expr, alphabet = _expression(args, kind)
+    if kind == "rexp":
+        _emit(dfa_to_dot(compile_dfa(expr, alphabet)), args.output)
     else:
-        lexpr = parse_lexp(args.lexp, alphabet)
-        ab = _resolve_alphabet(alphabet, lexp_letters(lexpr))
-        _emit(lasso_to_dot(compile_lasso(lexpr, ab)), args.output)
+        _emit(lasso_to_dot(compile_lasso(expr, alphabet)), args.output)
     return 0
 
 

@@ -292,7 +292,8 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
     """
     if alphabet is None:
         alphabet = alphabet_of(df_letters(df))
-    splits = [(split(t), split(s)) for t, s in df.pairs]
+    split_of = {e: split(e) for e in dict.fromkeys(chain.from_iterable(df.pairs))}
+    splits = [(split_of[t], split_of[s]) for t, s in df.pairs]
     exprs = list(dict.fromkeys(
         e for t_splits, s_splits in splits for e in chain((t1 for _, t1 in t_splits), *s_splits)
     ))

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lassokit.cli import main
 
@@ -200,6 +203,14 @@ class TestErrors:
         assert out == ""
         assert err == "error: letter 'c' outside alphabet 'ab'\n"
 
+    @pytest.mark.parametrize("alphabet", [[], ["--alphabet", "ab"], ["--alphabet", "A"]])
+    def test_word_symbol_outside_a_to_z_is_exit_2(self, capsys, alphabet):
+        # checked as a lasso literal is, before the alphabet
+        code, out, err = run(capsys, "member", "--rexp", "a", "--word", "A1", *alphabet)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid symbol 'A' in word\n"
+
     @pytest.mark.parametrize(
         "argv", [["member", "--rexp", "a", "--word", "a"], ["split", "--rexp", "a"], ["compile", "--rexp", "a"]]
     )
@@ -266,6 +277,87 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: loop language contained the empty word\n"
+
+
+EXPR_OPTIONS = {
+    "member": ["--rexp", "--lexp", "--oexp"],
+    "compile": ["--rexp", "--lexp"],
+    "enumerate": ["--rexp", "--lexp", "--oexp"],
+    "dot": ["--rexp", "--lexp"],
+}
+EXPR_REQUIRED = {"convert": "--oexp", "split": "--rexp", "root": "--rexp"}
+# expressions of at most 12 characters, random text or well-formed terms
+# (a rational part and an optional loop), so that both the error paths and
+# the answers are reached
+rexp_terms = st.recursive(
+    st.sampled_from("ab01"),
+    lambda inner: st.one_of(
+        st.builds("({})*".format, inner),
+        st.builds("{}{}".format, inner, inner),
+        st.builds("({}+{})".format, inner, inner),
+    ),
+    max_leaves=4,
+)
+LOOPS = {"--rexp": [""], "--lexp": ["a@", "(ab)@"], "--oexp": ["b$", "(a+b)$"]}
+
+
+def expr_text(option: str):
+    """Random text, or twice as often a term with a loop of the option's
+    kind or of any kind."""
+    loops = st.one_of(st.sampled_from(LOOPS[option]), st.sampled_from(sum(LOOPS.values(), [])))
+    terms = st.builds("{}{}".format, rexp_terms, loops).filter(lambda t: len(t) <= 12)
+    return st.one_of(st.text(alphabet="ab()+*.@$01 ", max_size=12), terms, terms)
+
+
+# words and lassos over `abA:`, well-formed two times in three
+ab_words = st.text(alphabet="ab", max_size=3)
+word_text = st.one_of(ab_words, ab_words, st.text(alphabet="abA:", max_size=4))
+ab_lassos = st.builds("{}:{}".format, ab_words, st.text(alphabet="ab", min_size=1, max_size=3))
+lasso_text = st.one_of(ab_lassos, ab_lassos, st.text(alphabet="abA:", max_size=6))
+
+
+@st.composite
+def invocations(draw) -> list[str]:
+    """argv of a command that reads an expression, or of `equiv-lasso`:
+    none, one or two of its expression options, words and lassos over `abA:`,
+    small enumeration bounds and an optional `--alphabet`."""
+    command = draw(st.sampled_from([*EXPR_OPTIONS, *EXPR_REQUIRED, "equiv-lasso"]))
+    if command == "equiv-lasso":
+        return [command, draw(lasso_text), draw(lasso_text)]
+    argv = [command]
+    if command in EXPR_REQUIRED:
+        chosen = [EXPR_REQUIRED[command]]
+    else:
+        # mostly one option, sometimes none or two
+        chosen = draw(st.permutations(EXPR_OPTIONS[command]))[: draw(st.sampled_from([1, 1, 1, 1, 0, 2]))]
+    for option in chosen:
+        argv += [option, draw(expr_text(option))]
+    if command == "member":
+        # each operand given three times in four
+        for option, text in (("--word", word_text), ("--lasso", lasso_text)):
+            if draw(st.sampled_from([True, True, True, False])):
+                argv += [option, draw(text)]
+    if command == "enumerate":
+        for option in ("--maxlen", "--max-spoke", "--max-loop"):
+            if draw(st.booleans()):
+                argv += [option, str(draw(st.integers(-1, 2)))]
+    alphabet = draw(st.one_of(st.none(), st.sampled_from(["", "a", "ab", "ba", "aa", "abc"])))
+    return argv if alphabet is None else [*argv, "--alphabet", alphabet]
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(invocations())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 1, 2, 3}
+        if code == 2:
+            assert "error: " in err.getvalue()
+        if argv[0] in ("member", "equiv-lasso") and code in (0, 1):
+            last = last_line(out.getvalue())
+            assert (last == "yes") if code == 0 else (last.split()[0] == "no")
 
 
 class TestGoldenAgainstLibrary:

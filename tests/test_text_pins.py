@@ -3,7 +3,8 @@
 `data/text_pins.json` holds the text of lasso and omega expressions, of
 disjunctive forms, of the expressions extracted from automata, of the
 saturation verdicts on automata (whose witnesses are shortest words), of
-the CLI's answers to ill-formed expressions, and of `enumerate` over the
+the CLI's answers to ill-formed expressions and usage errors and its note
+on an inferred alphabet, and of `enumerate` over the
 rational parts of the pinned expressions and the pinned expressions
 themselves.  It was recorded before lasso and
 omega expressions came to share one tree, so a change to that tree that
@@ -69,6 +70,22 @@ CLI_CASES = [
     ["compile", "--lexp", "a(b*)@"],
     ["convert", "--oexp", "(1+a)$"],
     ["member", "--rexp", "a@", "--word", "a"],
+    # usage errors: no expression option, two of them, a missing operand
+    ["member"],
+    ["member", "--rexp", "a", "--lexp", "a@", "--word", "a"],
+    ["compile"],
+    ["compile", "--rexp", "a", "--lexp", "a@"],
+    ["enumerate"],
+    ["enumerate", "--rexp", "a", "--oexp", "a$"],
+    ["dot"],
+    ["dot", "--rexp", "a", "--lexp", "a@"],
+    ["member", "--rexp", "a"],
+    ["member", "--lexp", "a@"],
+    ["member", "--oexp", "a$"],
+    ["enumerate", "--rexp", "a", "--max-loop", "0"],
+    # the inferred alphabet's note on stderr
+    ["convert", "--oexp", "b(ab)$"],
+    ["root", "--rexp", "ba"],
 ]
 
 
