@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -38,9 +40,11 @@ from .lassoexp import (
     lexp_to_str,
     member_lasso_naive,
     parse_lexp,
+    spoke_live_naive,
 )
 from .lassos import enumerate_lassos, gamma_equiv, normal_form, parse_lasso
 from .omega import (
+    live_spoke_walk,
     oexp_letters,
     oexp_to_str,
     omega_to_omega_automaton,
@@ -118,9 +122,11 @@ def _read_automaton_file(path: str):
 
 def cmd_member(args) -> int:
     kind = _kind(args, ("rexp", "lexp", "oexp"))
-    operand = "word" if kind == "rexp" else "lasso"
+    operand, unread = ("word", "lasso") if kind == "rexp" else ("lasso", "word")
     if getattr(args, operand) is None:
         raise ParseError(f"--{kind} requires --{operand}")
+    if getattr(args, unread) is not None:
+        raise ParseError(f"--{kind} takes --{operand}, not --{unread}")
     if kind == "rexp":
         for c in args.word:
             if not ("a" <= c <= "z"):
@@ -225,20 +231,28 @@ def cmd_root(args) -> int:
 
 def cmd_enumerate(args) -> int:
     kind = _kind(args, ("rexp", "lexp", "oexp"))
-    if args.maxlen < 0 or args.max_spoke < 0 or args.max_loop < 1:
-        raise ParseError("enumeration bounds must be nonnegative (loop bound at least 1)")
+    if kind == "rexp" and args.maxlen < 0:
+        raise ParseError("--maxlen must be nonnegative")
+    if kind != "rexp" and (args.max_spoke < 0 or args.max_loop < 1):
+        raise ParseError("--max-spoke must be nonnegative and --max-loop at least 1")
     expr, alphabet = _expression(args, kind)
     if kind == "rexp":
         for w in enumerate_language(expr, args.maxlen, alphabet):
             print(_word_literal(w))
         return 0
+    # each spoke is tested once, and the oracle decides only the lassos of
+    # live spokes; the list is spoke-major, shortest spokes first
     if kind == "lexp":
+        live = lambda u: spoke_live_naive(expr, u)
         check = lambda l: member_lasso_naive(expr, l)
     else:
+        live = live_spoke_walk(expr, alphabet)
         check = lambda l: up_member(expr, l, alphabet)
-    for l in enumerate_lassos(alphabet, args.max_spoke, args.max_loop):
-        if check(l):
-            print(str(l))
+    for spoke, lassos in groupby(enumerate_lassos(alphabet, args.max_spoke, args.max_loop), attrgetter("spoke")):
+        if live(spoke):
+            for l in lassos:
+                if check(l):
+                    print(str(l))
     return 0
 
 

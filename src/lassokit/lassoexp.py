@@ -273,6 +273,27 @@ def member_lasso_naive(rho: LassoExpr, l: Lasso) -> bool:
     raise TypeError(f"not a lasso expression: {rho!r}")
 
 
+def spoke_live_naive(rho: LassoExpr, u: str) -> bool:
+    """Does some lasso with spoke u lie in rho?  `member_lasso_naive`'s
+    recursion without the loop test: an '@' takes the empty spoke when
+    its body denotes some word, which is then a loop.  Nothing is
+    compiled.  A loop bound can leave out every loop of a live spoke, but
+    every lasso accepted within it has a live spoke, so a spoke found
+    dead needs no loop tried.  The tail is tested before the prefix, so
+    an '@' tail asks `member_naive` only for the whole spoke.
+    """
+    match rho:
+        case LZero():
+            return False
+        case Circle(r):
+            return u == "" and normalize_b(r) != ZERO
+        case Prefix(t, tail):
+            return any(spoke_live_naive(tail, u[i:]) and member_naive(t, u[:i]) for i in range(len(u) + 1))
+        case LSum(left, right):
+            return spoke_live_naive(left, u) or spoke_live_naive(right, u)
+    raise TypeError(f"not a lasso expression: {rho!r}")
+
+
 @dataclass(frozen=True)
 class DisjunctiveForm:
     """Canonical finite sum of (spoke, loop) pairs.

@@ -27,6 +27,10 @@ times the loop's positions finds the states from which the loop's omega
 power is accepted; `up_member` runs the spoke and meets that set, so
 every spoke with the same loop shares the pass.  The sets are kept in
 an `lru_cache` of `LOOP_CACHE_SIZE` entries; `to_nba` is unbounded.
+`live_spoke_walk` tests spokes alone on the same automaton, so that
+enumeration decides a lasso only when some omega word can follow its
+spoke (the live-state pruning of Ackerman & Shallit, "Efficient
+enumeration of words in regular languages", 2009).
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from typing import Callable, Iterable
 
 from .errors import CertificationError
-from .langops import Dfa, class_dfa, compile_dfa, dfa_to_expr, quotient, root
+from .langops import Dfa, class_dfa, compile_dfa, dfa_to_expr, explore, quotient, root
 # the omega expression tree is lassoexp's tailed-expression tree; its
 # public names are re-exported here
 from .lassoexp import (
@@ -217,18 +222,67 @@ def _loop_accepting(nba: Nba, loop: str) -> frozenset[int]:
     return frozenset(q for q in range(nba.n_states) if q * m in good)
 
 
+def _step(nba: Nba, states: Iterable[int], a: str) -> set[int]:
+    """The states one `a` edge away from `states`."""
+    return {q for p in states for q in nba.succ.get((p, a), ())}
+
+
 def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
     """Does the ultimately periodic word of the lasso lie in the omega
     language of T?  Decided on the Buchi automaton: the states reached
-    after the spoke must meet those from which the loop's omega power is
-    accepted (`_loop_accepting`)."""
+    after the spoke (`_step` per letter, as in `live_spoke_walk`) must
+    meet those from which the loop's omega power is accepted
+    (`_loop_accepting`)."""
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     cur = nba.initials
     for a in l.spoke:
-        cur = {q for p in cur for q in nba.succ.get((p, a), ())}
+        cur = _step(nba, cur, a)
         if not cur:
             return False
     return not _loop_accepting(nba, l.loop).isdisjoint(cur)
+
+
+def _live_states(nba: Nba) -> frozenset[int]:
+    """The states from which the NBA accepts some omega word: those that
+    reach an accepting state lying on a cycle.  One forward closure per
+    accepting state finds whether it returns to itself, then one backward
+    closure from those on a cycle collects the states that reach them.
+    The set is closed under predecessors."""
+    succ: list[set[int]] = [set() for _ in range(nba.n_states)]
+    pred: list[set[int]] = [set() for _ in range(nba.n_states)]
+    for p, _, q in nba.transitions:
+        succ[p].add(q)
+        pred[q].add(p)
+    on_cycle = [f for f in sorted(nba.accepting) if f in explore(succ[f], succ.__getitem__, "Buchi automaton")[0]]
+    return frozenset(explore(on_cycle, pred.__getitem__, "Buchi automaton")[0])
+
+
+def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[[str], bool]:
+    """A test of spokes: is some omega word with prefix u in the
+    language of T?  That holds iff some lasso whose spoke extends u is
+    accepted, so a spoke it rejects needs no loop tried.
+
+    Each spoke carries the live states (`_live_states`) of the Buchi
+    automaton that it reaches, and the spoke is live iff that set is
+    nonempty.  The set of u is one `_step` from the set of u less its
+    last letter, which is computed first if it was not asked for before;
+    asked shortest first, as `enumerate_lassos` lists spokes, each spoke
+    costs one step.  A dead state steps only to dead states, so every
+    extension of a dead spoke is dead too.  Oracle machinery, like
+    `up_member`: nothing of the pipeline is used.
+    """
+    nba = to_nba(T, _oexp_alphabet(T, alphabet))
+    live = _live_states(nba)
+    reached = {"": live & nba.initials}  # spoke -> its live states
+    shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct set
+
+    def states(u: str) -> frozenset[int]:
+        if u not in reached:
+            nxt = live.intersection(_step(nba, states(u[:-1]), u[-1]))
+            reached[u] = shared.setdefault(nxt, nxt)
+        return reached[u]
+
+    return lambda u: bool(states(u))
 
 
 # ---------------------------------------------------------------------------

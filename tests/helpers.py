@@ -345,3 +345,21 @@ def rexp_size(t: RatExpr) -> int:
             return 1 + rexp_size(x)
         case _:
             return 1
+
+
+def spoke_state(aut: LassoAutomaton, u: str) -> int:
+    """The spoke state that the spoke u leads to."""
+    x = aut.initial
+    for a in u:
+        x = aut.d1[x][aut.alphabet.index(a)]
+    return x
+
+
+def loop_live_spoke_states(aut: LassoAutomaton) -> set[int]:
+    """The spoke states at which some loop is accepted: those from whose
+    switch edges a search of the loop part reaches a final loop state."""
+    return {
+        x
+        for x in range(aut.n_spoke)
+        if not aut.finals.isdisjoint(explore(aut.d2[x], aut.d3.__getitem__, "loop part")[0])
+    }

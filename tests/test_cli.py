@@ -1,6 +1,7 @@
 import contextlib
 import io
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +181,20 @@ class TestErrors:
     def test_missing_operand(self, capsys):
         code, _, err = run(capsys, "member", "--rexp", "a")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rexp", "a", "--word", "a", "--lasso", "A"], "--rexp takes --word, not --lasso"),
+            (["--lexp", "a@", "--lasso", ":a", "--word", "Q"], "--lexp takes --lasso, not --word"),
+            (["--oexp", "a$", "--lasso", ":a", "--word", "a"], "--oexp takes --lasso, not --word"),
+        ],
+    )
+    def test_operand_the_kind_does_not_read_is_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "member", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_bad_automaton_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.lauto"
@@ -424,6 +439,56 @@ class TestGoldenAgainstLibrary:
     def test_negative_bounds_rejected(self, capsys):
         code, _, err = run(capsys, "enumerate", "--rexp", "a", "--maxlen", "-1")
         assert code == 2
+
+
+class TestEnumerateLassos:
+    """`enumerate --lexp/--oexp` tests each spoke once and asks the oracle
+    only about the lassos of live spokes; its output is the box filtered
+    by the oracle."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["lexp", "oexp"]),
+        st.sampled_from(["ab", "abc"]),
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_output_is_the_filtered_box(self, seed, kind, letters, depth, max_spoke, max_loop):
+        from helpers import random_lexp, random_oexp
+        from lassokit import Alphabet, enumerate_lassos, lexp_to_str, member_lasso_naive, up_member
+
+        rng = random.Random(seed)
+        alphabet = Alphabet(tuple(letters))
+        box = enumerate_lassos(alphabet, max_spoke, max_loop)
+        for _ in range(4):  # a quarter of the drawn expressions accept a lasso with a nonempty spoke
+            if kind == "lexp":
+                expr = random_lexp(rng, letters, depth)
+                expected = "".join(f"{l}\n" for l in box if member_lasso_naive(expr, l))
+            else:
+                expr = random_oexp(rng, letters, depth)
+                expected = "".join(f"{l}\n" for l in box if up_member(expr, l, alphabet))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["enumerate", f"--{kind}", lexp_to_str(expr), "--alphabet", letters,
+                             "--max-spoke", str(max_spoke), "--max-loop", str(max_loop)])
+            assert (code, out.getvalue(), err.getvalue()) == (0, expected, ""), lexp_to_str(expr)
+
+    def test_dead_spokes_reach_no_oracle(self, capsys, monkeypatch):
+        from lassokit import cli
+
+        calls = []
+        decide = cli.member_lasso_naive
+        monkeypatch.setattr(cli, "member_lasso_naive", lambda rho, l: calls.append(l) or decide(rho, l))
+        code, out, _ = run(capsys, "enumerate", "--lexp", "a*(b@)", "--alphabet", "ab",
+                           "--max-spoke", "12", "--max-loop", "2")
+        assert code == 0
+        assert out.splitlines() == [f"{'a' * n}:b" for n in range(13)]
+        box = (2**13 - 1) * 6
+        assert len(calls) < box / 100
+        # every printed lasso was decided by the oracle
+        assert {str(l) for l in calls} >= set(out.splitlines())
 
 
 class TestDeterminism:

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_lexp, random_rexp, random_rexp_no_ewp
+from helpers import loop_live_spoke_states, random_lexp, random_rexp, random_rexp_no_ewp, spoke_state
 from lassokit import (
     Alphabet,
     AlphabetMismatchError,
@@ -38,9 +39,10 @@ from lassokit import (
     parse_lexp,
     parse_oexpr,
     right_quotient,
+    spoke_live_naive,
     to_nba,
 )
-from lassokit.ratexp import Concat, Letter, Sum
+from lassokit.ratexp import Concat, Letter, Sum, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -95,6 +97,42 @@ class TestMemberNaive:
         for l in LASSOS_4:
             expected = l.loop == "b" and l.spoke.startswith("b") and set(l.spoke[1:]) <= {"a"}
             assert member_lasso_naive(rho, l) == expected, l
+
+
+class TestSpokeLive:
+    def test_circle_takes_only_the_empty_spoke(self):
+        rho = parse_lexp("b(a*b@)")
+        spokes = ["", "a", "b", "ab", "ba", "bb", "baa", "bab"]
+        assert [u for u in spokes if spoke_live_naive(rho, u)] == ["b", "ba", "baa"]
+
+    def test_empty_body_takes_no_spoke(self):
+        rho = parse_lexp("(b0)@+a((0)@)")
+        assert not spoke_live_naive(rho, "") and not spoke_live_naive(rho, "a")
+
+    def test_zero(self):
+        assert not any(spoke_live_naive(LZERO, l.spoke) for l in LASSOS_3)
+
+    @given(
+        st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3), st.integers(0, 4), st.integers(1, 3)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_never_dead_on_an_accepted_lasso(self, seed, letters, depth, max_spoke, max_loop):
+        rho = random_lexp(random.Random(seed), letters, depth)
+        for l in enumerate_lassos(Alphabet(tuple(letters)), max_spoke, max_loop):
+            if member_lasso_naive(rho, l):
+                assert spoke_live_naive(rho, l.spoke), (rho, l)
+
+    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_on_the_compiled_automaton(self, seed, letters, depth):
+        # live iff the spoke leads to a spoke state at which some loop of
+        # any length is accepted
+        rho = random_lexp(random.Random(seed), letters, depth)
+        alphabet = Alphabet(tuple(letters))
+        aut = compile_lasso(rho, alphabet)
+        live = loop_live_spoke_states(aut)
+        for u in words_up_to(alphabet, 4):
+            assert spoke_live_naive(rho, u) == (spoke_state(aut, u) in live), (rho, u)
 
 
 class TestDisjunctiveForm:

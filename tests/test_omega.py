@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     gamma_class_upto,
     gamma_map_oracle,
+    loop_live_spoke_states,
     random_lexp,
     random_oexp,
     random_rexp,
     rexp_size,
+    spoke_state,
     up_member_oracle,
 )
 from lassokit import (
@@ -34,6 +36,7 @@ from lassokit import (
     gamma_map,
     h_map,
     is_saturated,
+    live_spoke_walk,
     member_lasso_naive,
     minimize_lasso,
     normalize_b,
@@ -50,7 +53,7 @@ from lassokit import langops, omega
 from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, minimize_dfa, root
 from lassokit.lassoaut import extract_omega_expr, write_automaton
 from lassokit.lassoexp import df_to_lexp, df_to_str
-from lassokit.ratexp import Letter, ONE, rcat, split
+from lassokit.ratexp import Letter, ONE, rcat, split, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -146,6 +149,61 @@ class TestOracle:
 
     def test_loop_cache_is_bounded(self):
         assert omega._loop_accepting.cache_info().maxsize == omega.LOOP_CACHE_SIZE
+
+
+def walk_is_exact(T, alphabet):
+    """The walk marks a spoke live iff, in the saturated automaton of T,
+    its spoke state reaches a spoke state at which some loop is accepted:
+    iff some lasso whose spoke extends it is accepted.  (The spoke's own
+    state need not accept a loop: the empty spoke of b(a$) is live.)"""
+    aut = omega_to_omega_automaton(T, alphabet)
+    loop_live = loop_live_spoke_states(aut)
+    reach = lambda x: langops.explore([x], aut.d1.__getitem__, "spoke part")[0]
+    live = {x for x in range(aut.n_spoke) if not loop_live.isdisjoint(reach(x))}
+    walk = live_spoke_walk(T, alphabet)
+    for u in words_up_to(alphabet, 4):
+        assert walk(u) == (spoke_state(aut, u) in live), (oexp_to_str(T), u)
+
+
+class TestLiveSpokeWalk:
+    def test_eventually_a(self):
+        walk = live_spoke_walk(parse_oexpr("b(a$)"), AB)
+        assert [u for u in ("", "a", "b", "ba", "bb", "bab") if walk(u)] == ["", "b", "ba"]
+
+    def test_accepting_state_off_a_cycle_is_dead(self):
+        # the omega power of an empty body has an accepting state that no
+        # edge re-enters
+        nba = to_nba(parse_oexpr("(0)$"), AB)
+        assert nba.accepting and omega._live_states(nba) == frozenset()
+        assert not live_spoke_walk(parse_oexpr("(0)$+a((b0)$)"), AB)("")
+
+    def test_order_of_questions_does_not_matter(self):
+        T = parse_oexpr("(a+b)*(aab+bba)$")
+        spokes = list(words_up_to(AB, 4))
+        forward, backward = live_spoke_walk(T, AB), live_spoke_walk(T, AB)
+        answers = [backward(u) for u in reversed(spokes)][::-1]
+        assert [forward(u) for u in spokes] == answers
+
+    @given(
+        st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3), st.integers(0, 4), st.integers(1, 3)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_never_dead_on_an_accepted_lasso(self, seed, letters, depth, max_spoke, max_loop):
+        T = random_oexp(random.Random(seed), letters, depth)
+        alphabet = Alphabet(tuple(letters))
+        walk = live_spoke_walk(T, alphabet)
+        for l in enumerate_lassos(alphabet, max_spoke, max_loop):
+            if up_member(T, l, alphabet):
+                assert walk(l.spoke), (T, l)
+
+    @pytest.mark.parametrize("text", CORPUS + ["b(a$)", "(0)$+a((b0)$)", "a(b$)+(ab)*b(a$)", "(a+b)*(aab+bba)$"])
+    def test_exact_on_the_pipeline_output(self, text):
+        walk_is_exact(parse_oexpr(text), AB)
+
+    @given(st.integers(0, 10_000), st.integers(0, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_on_random_expressions(self, seed, depth):
+        walk_is_exact(random_oexp(random.Random(seed), "ab", depth), AB)
 
 
 class TestHMap:

@@ -82,7 +82,13 @@ CLI_CASES = [
     ["member", "--rexp", "a"],
     ["member", "--lexp", "a@"],
     ["member", "--oexp", "a$"],
+    # each kind reads only its own operand and bounds
+    ["member", "--rexp", "a", "--word", "a", "--lasso", "A"],
+    ["member", "--lexp", "a@", "--lasso", ":a", "--word", "Q"],
     ["enumerate", "--rexp", "a", "--max-loop", "0"],
+    ["enumerate", "--lexp", "a@", "--maxlen", "-1"],
+    ["enumerate", "--rexp", "a", "--maxlen", "-1"],
+    ["enumerate", "--lexp", "a@", "--max-loop", "0"],
     # the inferred alphabet's note on stderr
     ["convert", "--oexp", "b(ab)$"],
     ["root", "--rexp", "ba"],
