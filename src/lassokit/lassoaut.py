@@ -64,19 +64,18 @@ def accepts(aut: LassoAutomaton, l: Lasso) -> bool:
     return y in aut.finals
 
 
-def loop_dfa(aut: LassoAutomaton, x: int, finals: frozenset[int] | None = None) -> Dfa:
+def loop_dfa(aut: LassoAutomaton, x: int) -> Dfa:
     """DFA for the nonempty words that, switched from spoke state x, end in
-    a final loop state (or in the given loop-state set).
+    a final loop state.
 
     State 0 is a fresh non-final start that performs the switch step, so
     the empty word is always rejected; loop state y becomes state y+1.
     """
-    target = aut.finals if finals is None else finals
     na = len(aut.alphabet.letters)
     rows = [tuple(aut.d2[x][ai] + 1 for ai in range(na))]
     for y in range(aut.n_loop):
         rows.append(tuple(aut.d3[y][ai] + 1 for ai in range(na)))
-    return Dfa(aut.alphabet, tuple(rows), 0, frozenset(y + 1 for y in target))
+    return Dfa(aut.alphabet, tuple(rows), 0, frozenset(y + 1 for y in aut.finals))
 
 
 def spoke_lang_dfa(aut: LassoAutomaton, x: int) -> Dfa:

@@ -13,11 +13,10 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 from .errors import ParseError
-from .ratexp import Alphabet
+from .ratexp import Alphabet, words_up_to
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,5 @@ def enumerate_lassos(alphabet: Alphabet, max_spoke: int, max_loop: int) -> list[
     """All lassos with |spoke| <= max_spoke and 1 <= |loop| <= max_loop."""
     if max_loop < 1:
         raise ValueError("max_loop must be at least 1")
-    spokes = [
-        "".join(w) for n in range(max_spoke + 1) for w in product(alphabet.letters, repeat=n)
-    ]
-    loops = [
-        "".join(w) for n in range(1, max_loop + 1) for w in product(alphabet.letters, repeat=n)
-    ]
-    return [Lasso(u, v) for u in spokes for v in loops]
+    loops = list(words_up_to(alphabet, max_loop))[1:]
+    return [Lasso(u, v) for u in words_up_to(alphabet, max_spoke) for v in loops]

@@ -19,29 +19,32 @@ no state labels.  Saturation is a property of the accepted lassos
 omega-languages", MFPS 1993), so that automaton is saturated too.
 
 The oracle (`to_nba`/`up_member`) goes through a nondeterministic Buchi
-automaton and shares nothing with the lasso machinery, so pipeline bugs
-cannot cancel out in the tests.  For each pair of an automaton and a
-loop word, one strongly-connected-components pass (Tarjan, "Depth-first
-search and linear graph algorithms", 1972) over the automaton's states
-times the loop's positions finds the states from which the loop's omega
-power is accepted; `up_member` runs the spoke and meets that set, so
-every spoke with the same loop shares the pass.  The sets are kept in
-an `lru_cache` of `LOOP_CACHE_SIZE` entries; `to_nba` is unbounded.
-`live_spoke_walk` tests spokes alone on the same automaton, so that
-enumeration decides a lasso only when some omega word can follow its
-spoke (the live-state pruning of Ackerman & Shallit, "Efficient
-enumeration of words in regular languages", 2009).
+automaton, kept as one successor table (`Nba.rows`), and shares nothing
+with the lasso machinery, so pipeline bugs cannot cancel out in the
+tests.  Both of its searches ask one graph question, which nodes reach
+an accepting node lying on a cycle, and `_live` answers it in one
+linear strongly-connected-components pass (Tarjan, "Depth-first search
+and linear graph algorithms", 1972).  On the automaton's states times a
+loop word's positions (`_loop_accepting`) it finds the states from which
+the loop's omega power is accepted; `up_member` runs the spoke and meets
+that set, so every spoke with the same loop shares the pass.  The sets
+are kept in an `lru_cache` of `LOOP_CACHE_SIZE` entries; `to_nba` is
+unbounded.  On the automaton's edges over all letters (`_live_states`)
+it finds the live states, on which `live_spoke_walk` tests spokes alone,
+so that enumeration decides a lasso only when some omega word can
+follow its spoke (the live-state pruning of Ackerman & Shallit,
+"Efficient enumeration of words in regular languages", 2009).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import CertificationError
-from .langops import Dfa, class_dfa, compile_dfa, dfa_to_expr, explore, quotient, root
+from .langops import Dfa, class_dfa, compile_dfa, dfa_to_expr, quotient, root
 # the omega expression tree is lassoexp's tailed-expression tree; its
 # public names are re-exported here
 from .lassoexp import (
@@ -74,24 +77,21 @@ def _oexp_alphabet(T: OmegaExpr, alphabet: Alphabet | None) -> Alphabet:
 # Buchi oracle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nba:
-    """Nondeterministic Buchi automaton; oracle machinery only."""
+    """Nondeterministic Buchi automaton; oracle machinery only.  `rows[q][i]`
+    holds q's successors on the i-th letter of the alphabet.  Compared by
+    identity: `to_nba` returns one object per expression and alphabet."""
 
     alphabet: Alphabet
-    n_states: int
-    transitions: frozenset[tuple[int, str, int]]
+    rows: tuple[tuple[frozenset[int], ...], ...]
     initials: frozenset[int]
     accepting: frozenset[int]
-    # (state, letter) -> successor states, derived from `transitions`; not
-    # part of equality, hash or repr
-    succ: dict[tuple[int, str], frozenset[int]] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        succ: dict[tuple[int, str], set[int]] = {}
-        for p, a, q in self.transitions:
-            succ.setdefault((p, a), set()).add(q)
-        object.__setattr__(self, "succ", {k: frozenset(v) for k, v in succ.items()})
+
+def _shifted(rows: tuple[tuple[frozenset[int], ...], ...], off: int) -> tuple[tuple[frozenset[int], ...], ...]:
+    """The rows with every state number raised by `off`."""
+    return tuple(tuple(frozenset(q + off for q in cell) for cell in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -108,99 +108,71 @@ def to_nba(T: OmegaExpr, alphabet: Alphabet | None = None) -> Nba:
     alphabet = _oexp_alphabet(T, alphabet)
     match T:
         case OZero():
-            return Nba(alphabet, 0, frozenset(), frozenset(), frozenset())
+            return Nba(alphabet, (), frozenset(), frozenset())
         case OmegaPower(r):
+            # state 0 is the fresh start, DFA state q becomes q + 1
             d = compile_dfa(r, alphabet)
-            trans: set[tuple[int, str, int]] = set()
-            for q in range(d.n_states):
-                for ai, a in enumerate(alphabet.letters):
-                    nxt = d.trans[q][ai]
-                    trans.add((q + 1, a, nxt + 1))
-                    if nxt in d.finals:
-                        trans.add((q + 1, a, 0))
-            for ai, a in enumerate(alphabet.letters):
-                nxt = d.trans[d.initial][ai]
-                trans.add((0, a, nxt + 1))
-                if nxt in d.finals:
-                    trans.add((0, a, 0))
-            return Nba(alphabet, d.n_states + 1, frozenset(trans), frozenset({0}), frozenset({0}))
+            edge = lambda q: frozenset({q + 1, 0} if q in d.finals else {q + 1})
+            rows = tuple(tuple(map(edge, d.trans[q])) for q in (d.initial, *range(d.n_states)))
+            return Nba(alphabet, rows, frozenset({0}), frozenset({0}))
         case OPrefix(t, tail):
             d = compile_dfa(t, alphabet)
             inner = to_nba(tail, alphabet)
             off = d.n_states
-            trans = {(p + off, a, q + off) for (p, a, q) in inner.transitions}
-            for q in range(d.n_states):
-                for ai, a in enumerate(alphabet.letters):
-                    nxt = d.trans[q][ai]
-                    trans.add((q, a, nxt))
-                    if nxt in d.finals:
-                        trans.update((q, a, s + off) for s in inner.initials)
-            initials = {d.initial}
-            if ewp(t):
-                initials.update(s + off for s in inner.initials)
-            accepting = frozenset(s + off for s in inner.accepting)
-            return Nba(alphabet, off + inner.n_states, frozenset(trans), frozenset(initials), accepting)
+            enter = frozenset(s + off for s in inner.initials)
+            edge = lambda q: enter | {q} if q in d.finals else frozenset({q})
+            rows = tuple(tuple(map(edge, row)) for row in d.trans) + _shifted(inner.rows, off)
+            initials = frozenset({d.initial}) | (enter if ewp(t) else frozenset())
+            return Nba(alphabet, rows, initials, frozenset(s + off for s in inner.accepting))
         case OSum(l, r):
             n1 = to_nba(l, alphabet)
             n2 = to_nba(r, alphabet)
-            off = n1.n_states
-            trans = set(n1.transitions)
-            trans.update((p + off, a, q + off) for (p, a, q) in n2.transitions)
+            off = len(n1.rows)
             return Nba(
                 alphabet,
-                off + n2.n_states,
-                frozenset(trans),
+                n1.rows + _shifted(n2.rows, off),
                 n1.initials | frozenset(s + off for s in n2.initials),
                 n1.accepting | frozenset(s + off for s in n2.accepting),
             )
     raise TypeError(f"not an omega expression: {T!r}")
 
 
-# (NBA, loop word) pairs whose accepting states `_loop_accepting` keeps
-LOOP_CACHE_SIZE = 1024
+def _live(
+    starts: Iterable[int], successors: Callable[[int], Iterable[int]], accepting: Callable[[int], bool]
+) -> set[int]:
+    """The nodes reachable from `starts` that reach an accepting node
+    lying on a cycle.
 
-
-@lru_cache(maxsize=LOOP_CACHE_SIZE)
-def _loop_accepting(nba: Nba, loop: str) -> frozenset[int]:
-    """The states of the NBA from which it accepts loop^ω.
-
-    One Tarjan pass over the product of the states with the loop's
-    positions, node q·m + j for state q at position j.  Components come
-    out sinks first, so when one is complete the components it reaches
-    are already known.  A node is good when its component holds an
-    accepting state and an edge inside it (an accepting node on a cycle),
-    or when it has an edge into a good node.  The answer is read at
-    position 0.
+    One iterative Tarjan pass.  Components come out sinks first, so when
+    one is complete the components it reaches are already known.  A
+    component is good when it holds an accepting node and an edge inside
+    it (an accepting node on a cycle), or when it has an edge into a good
+    node.  Each node's successors are asked for once.
     """
-    m = len(loop)
-    edges: dict[int, list[int]] = {}
-
-    def successors(v: int) -> list[int]:
-        q, j = divmod(v, m)
-        nxt = (j + 1) % m
-        edges[v] = [p * m + nxt for p in nba.succ.get((q, loop[j]), ())]
-        return edges[v]
-
     number: dict[int, int] = {}
     low: dict[int, int] = {}
+    edges: dict[int, list[int]] = {}  # successors of the nodes not yet in a component
     stack: list[int] = []
-    finished: set[int] = set()  # nodes of completed components
     good: set[int] = set()
-    for start in range(0, nba.n_states * m, m):
+    path: list[tuple[int, Iterator[int]]] = []
+
+    def visit(v: int) -> None:
+        number[v] = low[v] = len(number)
+        stack.append(v)
+        edges[v] = list(successors(v))
+        path.append((v, iter(edges[v])))
+
+    for start in starts:
         if start in number:
             continue
-        number[start] = low[start] = len(number)
-        stack.append(start)
-        path = [(start, iter(successors(start)))]
+        visit(start)
         while path:
             v, todo = path[-1]
             for w in todo:
                 if w not in number:
-                    number[w] = low[w] = len(number)
-                    stack.append(w)
-                    path.append((w, iter(successors(w))))
+                    visit(w)
                     break
-                if w not in finished:
+                if w in edges:  # on the stack: same component or an open one
                     low[v] = min(low[v], number[w])
             else:
                 path.pop()
@@ -209,22 +181,41 @@ def _loop_accepting(nba: Nba, loop: str) -> frozenset[int]:
                     low[u] = min(low[u], low[v])
                 if low[v] != number[v]:
                     continue
-                i = stack.index(v)
-                component = stack[i:]
-                del stack[i:]
-                finished.update(component)
-                members = set(component)
-                inner = any(w in members for u in component for w in edges[u])
-                if (inner and any(u // m in nba.accepting for u in component)) or any(
-                    w in good for u in component for w in edges[u]
-                ):
+                component = [stack.pop()]
+                while component[-1] != v:
+                    component.append(stack.pop())
+                out = [w for u in component for w in edges.pop(u)]
+                on_cycle = any(map(accepting, component)) and not set(component).isdisjoint(out)
+                if on_cycle or not good.isdisjoint(out):
                     good.update(component)
-    return frozenset(q for q in range(nba.n_states) if q * m in good)
+    return good
+
+
+# (NBA, loop word) pairs whose accepting states `_loop_accepting` keeps
+LOOP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=LOOP_CACHE_SIZE)
+def _loop_accepting(nba: Nba, loop: str) -> frozenset[int]:
+    """The states of the NBA from which it accepts loop^ω: `_live` on the
+    product of the states with the loop's positions, node q·m + j for
+    state q at position j, read at position 0."""
+    m = len(loop)
+    columns = [nba.alphabet.index(a) for a in loop]
+
+    def successors(v: int) -> list[int]:
+        q, j = divmod(v, m)
+        nxt = (j + 1) % m
+        return [p * m + nxt for p in nba.rows[q][columns[j]]]
+
+    good = _live(range(0, len(nba.rows) * m, m), successors, lambda v: v // m in nba.accepting)
+    return frozenset(q for q in range(len(nba.rows)) if q * m in good)
 
 
 def _step(nba: Nba, states: Iterable[int], a: str) -> set[int]:
     """The states one `a` edge away from `states`."""
-    return {q for p in states for q in nba.succ.get((p, a), ())}
+    i = nba.alphabet.index(a)
+    return {q for p in states for q in nba.rows[p][i]}
 
 
 def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
@@ -243,18 +234,11 @@ def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
 
 
 def _live_states(nba: Nba) -> frozenset[int]:
-    """The states from which the NBA accepts some omega word: those that
-    reach an accepting state lying on a cycle.  One forward closure per
-    accepting state finds whether it returns to itself, then one backward
-    closure from those on a cycle collects the states that reach them.
-    The set is closed under predecessors."""
-    succ: list[set[int]] = [set() for _ in range(nba.n_states)]
-    pred: list[set[int]] = [set() for _ in range(nba.n_states)]
-    for p, _, q in nba.transitions:
-        succ[p].add(q)
-        pred[q].add(p)
-    on_cycle = [f for f in sorted(nba.accepting) if f in explore(succ[f], succ.__getitem__, "Buchi automaton")[0]]
-    return frozenset(explore(on_cycle, pred.__getitem__, "Buchi automaton")[0])
+    """The states from which the NBA accepts some omega word: `_live` on
+    the graph of its edges over all letters.  The set is closed under
+    predecessors."""
+    graph = [set().union(*row) for row in nba.rows]
+    return frozenset(_live(range(len(graph)), graph.__getitem__, nba.accepting.__contains__))
 
 
 def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[[str], bool]:

@@ -27,7 +27,7 @@ from lassokit.langops import (
 from lassokit.lassoaut import LassoAutomaton, _power_witness, _spoke_access_words, accepts, loop_dfa
 from lassokit.lassoexp import Circle, DisjunctiveForm, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
-from lassokit.omega import OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _oexp_alphabet, to_nba
+from lassokit.omega import Nba, OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _oexp_alphabet, to_nba
 from lassokit.ratexp import (
     Alphabet,
     Concat,
@@ -179,8 +179,9 @@ def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     succ: dict[tuple[int, str], set[int]] = {}
-    for p, a, q in nba.transitions:
-        succ.setdefault((p, a), set()).add(q)
+    for p, row in enumerate(nba.rows):
+        for a, targets in zip(nba.alphabet.letters, row):
+            succ[p, a] = set(targets)
     cur = set(nba.initials)
     for a in l.spoke:
         cur = {q for p in cur for q in succ.get((p, a), ())}
@@ -216,6 +217,24 @@ def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -
             visited.add(cand)
             stack.extend(node_succ(cand))
     return False
+
+
+def live_states_oracle(nba: Nba) -> frozenset[int]:
+    """The states from which the NBA accepts some omega word: one forward
+    closure per accepting state finds whether it returns to itself, then
+    one backward closure from those on a cycle collects the states that
+    reach them.
+
+    `omega._live_states` instead finds them in one component pass; the two
+    must answer alike.
+    """
+    succ = [set().union(*row) for row in nba.rows]
+    pred: list[set[int]] = [set() for _ in nba.rows]
+    for p, targets in enumerate(succ):
+        for q in targets:
+            pred[q].add(p)
+    on_cycle = [f for f in sorted(nba.accepting) if f in explore(succ[f], succ.__getitem__, "Buchi automaton")[0]]
+    return frozenset(explore(on_cycle, pred.__getitem__, "Buchi automaton")[0])
 
 
 def is_saturated_oracle(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:

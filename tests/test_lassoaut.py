@@ -124,7 +124,7 @@ def switch_langs_oracle(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
     loop DFA and one emptiness search per final loop state y."""
     langs = {}
     for y in sorted(aut.finals):
-        d = loop_dfa(aut, x, frozenset({y}))
+        d = Dfa(aut.alphabet, loop_dfa(aut, x).trans, 0, frozenset({y + 1}))
         if not is_empty_dfa(d)[0]:
             langs[y] = d
     return langs
@@ -137,7 +137,7 @@ def omega_loop_langs_oracle(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
     for y in sorted(aut.finals):
         spoke_return = Dfa(aut.alphabet, aut.d1, x, frozenset({x}))
         loop_return = Dfa(aut.alphabet, aut.d3, y, frozenset({y}))
-        switch = loop_dfa(aut, x, frozenset({y}))
+        switch = Dfa(aut.alphabet, loop_dfa(aut, x).trans, 0, frozenset({y + 1}))
         d = boolean_combine(boolean_combine(spoke_return, switch, "and"), loop_return, "and")
         if not is_empty_dfa(d)[0]:
             langs[y] = d

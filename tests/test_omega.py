@@ -3,11 +3,12 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     gamma_class_upto,
     gamma_map_oracle,
+    live_states_oracle,
     loop_live_spoke_states,
     random_lexp,
     random_oexp,
@@ -18,6 +19,7 @@ from helpers import (
 )
 from lassokit import (
     Alphabet,
+    AlphabetMismatchError,
     DisjunctiveForm,
     Lasso,
     NullableLoopError,
@@ -107,6 +109,11 @@ class TestOracle:
         assert up_member(T, Lasso("a", "aa"))
         assert not up_member(T, Lasso("", "b"), AB)
 
+    def test_letter_outside_the_alphabet(self):
+        # as `accepts` does: the automaton has no column for the letter
+        with pytest.raises(AlphabetMismatchError, match="symbol 'b' not in alphabet 'a'"):
+            up_member(parse_oexpr("a$"), Lasso("", "b"))
+
     def test_zero_accepts_nothing(self):
         assert not any(up_member(OZERO, l, AB) for l in enumerate_lassos(AB, 3, 3))
 
@@ -140,12 +147,15 @@ class TestOracle:
         for l in enumerate_lassos(alphabet, 3, 3):
             assert up_member(T, l, alphabet) == up_member_oracle(T, l, alphabet), (T, l)
 
-    def test_successor_table_is_not_part_of_identity(self):
-        nba = to_nba(parse_oexpr("(a+b)*a$"), AB)
-        twin = omega.Nba(nba.alphabet, nba.n_states, nba.transitions, nba.initials, nba.accepting)
-        assert twin == nba and hash(twin) == hash(nba) and repr(twin) == repr(nba)
-        assert "succ" not in repr(nba)
-        assert twin.succ == nba.succ
+    def test_one_automaton_per_expression(self):
+        # the loop cache keys on the automaton's identity, so a second
+        # spoke with the same loop reuses the first one's pass
+        T = parse_oexpr("(a+b)*a$")
+        assert to_nba(T, AB) is to_nba(T, AB)
+        assert up_member(T, Lasso("", "a"), AB)
+        hits = omega._loop_accepting.cache_info().hits
+        assert up_member(T, Lasso("ba", "a"), AB)
+        assert omega._loop_accepting.cache_info().hits == hits + 1
 
     def test_loop_cache_is_bounded(self):
         assert omega._loop_accepting.cache_info().maxsize == omega.LOOP_CACHE_SIZE
@@ -176,6 +186,15 @@ class TestLiveSpokeWalk:
         nba = to_nba(parse_oexpr("(0)$"), AB)
         assert nba.accepting and omega._live_states(nba) == frozenset()
         assert not live_spoke_walk(parse_oexpr("(0)$+a((b0)$)"), AB)("")
+
+    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3))
+    @example(None, "ab", 0)  # (0)$: an accepting state on no cycle
+    @settings(max_examples=60, deadline=None)
+    def test_live_states_match_oracle(self, seed, letters, depth):
+        alphabet = Alphabet(tuple(letters))
+        T = parse_oexpr("(0)$") if seed is None else random_oexp(random.Random(seed), letters, depth)
+        nba = to_nba(T, alphabet)
+        assert omega._live_states(nba) == live_states_oracle(nba), oexp_to_str(T)
 
     def test_order_of_questions_does_not_matter(self):
         T = parse_oexpr("(a+b)*(aab+bba)$")
