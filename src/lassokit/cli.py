@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import groupby
-from operator import attrgetter
 
 from .errors import (
     AlphabetMismatchError,
@@ -240,19 +238,17 @@ def cmd_enumerate(args) -> int:
         for w in enumerate_language(expr, args.maxlen, alphabet):
             print(_word_literal(w))
         return 0
-    # each spoke is tested once, and the oracle decides only the lassos of
-    # live spokes; the list is spoke-major, shortest spokes first
+    # each spoke is tested once, shortest first, and only a live spoke gets
+    # lassos built, which the oracle then decides
     if kind == "lexp":
         live = lambda u: spoke_live_naive(expr, u)
         check = lambda l: member_lasso_naive(expr, l)
     else:
         live = live_spoke_walk(expr, alphabet)
         check = lambda l: up_member(expr, l, alphabet)
-    for spoke, lassos in groupby(enumerate_lassos(alphabet, args.max_spoke, args.max_loop), attrgetter("spoke")):
-        if live(spoke):
-            for l in lassos:
-                if check(l):
-                    print(str(l))
+    for l in enumerate_lassos(alphabet, args.max_spoke, args.max_loop, live):
+        if check(l):
+            print(str(l))
     return 0
 
 

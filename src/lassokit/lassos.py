@@ -12,6 +12,7 @@ independent oracle.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import lcm
 
@@ -104,9 +105,20 @@ def expansions(l: Lasso, k_max: int = 2) -> list[Lasso]:
     return out
 
 
-def enumerate_lassos(alphabet: Alphabet, max_spoke: int, max_loop: int) -> list[Lasso]:
-    """All lassos with |spoke| <= max_spoke and 1 <= |loop| <= max_loop."""
+def enumerate_lassos(
+    alphabet: Alphabet, max_spoke: int, max_loop: int, live: Callable[[str], bool] | None = None
+) -> list[Lasso]:
+    """All lassos with |spoke| <= max_spoke and 1 <= |loop| <= max_loop,
+    spoke-major in `words_up_to` order.
+
+    With a spoke test `live`, only the lassos whose spoke passes it: each
+    spoke is asked once, shortest first, and a spoke that fails builds no
+    lasso.
+    """
     if max_loop < 1:
         raise ValueError("max_loop must be at least 1")
     loops = list(words_up_to(alphabet, max_loop))[1:]
-    return [Lasso(u, v) for u in words_up_to(alphabet, max_spoke) for v in loops]
+    spokes = words_up_to(alphabet, max_spoke)
+    if live is not None:
+        spokes = filter(live, spokes)
+    return [Lasso(u, v) for u in spokes for v in loops]

@@ -250,10 +250,10 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
     automaton that it reaches, and the spoke is live iff that set is
     nonempty.  The set of u is one `_step` from the set of u less its
     last letter, which is computed first if it was not asked for before;
-    asked shortest first, as `enumerate_lassos` lists spokes, each spoke
-    costs one step.  A dead state steps only to dead states, so every
-    extension of a dead spoke is dead too.  Oracle machinery, like
-    `up_member`: nothing of the pipeline is used.
+    asked shortest first, as `enumerate_lassos` asks its spoke test, each
+    spoke costs at most one step.  A dead state steps only to dead states,
+    so every extension of a dead spoke is dead too, without a step.
+    Oracle machinery, like `up_member`: nothing of the pipeline is used.
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     live = _live_states(nba)
@@ -262,7 +262,8 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
 
     def states(u: str) -> frozenset[int]:
         if u not in reached:
-            nxt = live.intersection(_step(nba, states(u[:-1]), u[-1]))
+            before = states(u[:-1])
+            nxt = live.intersection(_step(nba, before, u[-1])) if before else before
             reached[u] = shared.setdefault(nxt, nxt)
         return reached[u]
 

@@ -490,6 +490,26 @@ class TestEnumerateLassos:
         # every printed lasso was decided by the oracle
         assert {str(l) for l in calls} >= set(out.splitlines())
 
+    @pytest.mark.parametrize(
+        "argv, built, printed",
+        [
+            # 13 live spokes a^n of the box's 8 191, times 6 loops
+            (("--lexp", "a*(b@)", "--max-spoke", "12", "--max-loop", "2"), 78, 13),
+            # 17 live spokes a^n of the box's 131 071, times 2 loops
+            (("--oexp", "a$", "--max-spoke", "16", "--max-loop", "1"), 34, 17),
+        ],
+    )
+    def test_dead_spokes_build_no_lasso(self, capsys, monkeypatch, argv, built, printed):
+        from lassokit import cli
+
+        lists = []
+        listing = cli.enumerate_lassos
+        monkeypatch.setattr(cli, "enumerate_lassos", lambda *a: lists.append(listing(*a)) or lists[-1])
+        code, out, _ = run(capsys, "enumerate", *argv, "--alphabet", "ab")
+        assert code == 0
+        assert len(out.splitlines()) == printed
+        assert [len(l) for l in lists] == [built]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_lasso
 from lassokit import (
@@ -17,6 +18,7 @@ from lassokit import (
     reduce_step,
     up_equal,
 )
+from lassokit.ratexp import words_up_to
 
 AB = Alphabet(("a", "b"))
 
@@ -151,6 +153,26 @@ class TestEnumerate:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             enumerate_lassos(AB, 1, 0)
+        asked = []
+        with pytest.raises(ValueError):
+            enumerate_lassos(AB, 1, 0, lambda u: asked.append(u) or True)
+        assert asked == []  # raised before any spoke was tested
+
+    @given(
+        st.sampled_from(["a", "ab", "abc"]),
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.sets(st.text("abc", max_size=4)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spoke_test_filters_the_box(self, letters, max_spoke, max_loop, live_spokes):
+        alphabet = Alphabet(tuple(letters))
+        asked = []
+        live = lambda u: asked.append(u) or u in live_spokes
+        lassos = enumerate_lassos(alphabet, max_spoke, max_loop, live)
+        assert lassos == [l for l in enumerate_lassos(alphabet, max_spoke, max_loop) if l.spoke in live_spokes]
+        # each spoke asked once, shortest first, in the order spokes are listed
+        assert asked == list(words_up_to(alphabet, max_spoke))
 
 
 class TestConfluence:

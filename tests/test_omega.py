@@ -203,6 +203,15 @@ class TestLiveSpokeWalk:
         answers = [backward(u) for u in reversed(spokes)][::-1]
         assert [forward(u) for u in spokes] == answers
 
+    def test_dead_spoke_extends_without_a_step(self, monkeypatch):
+        steps = []
+        step = omega._step
+        monkeypatch.setattr(omega, "_step", lambda nba, states, a: steps.append(a) or step(nba, states, a))
+        walk = live_spoke_walk(parse_oexpr("a$"), AB)
+        assert [u for u in words_up_to(AB, 6) if walk(u)] == ["a" * n for n in range(7)]
+        # one step from each live spoke a^0 .. a^5 per letter
+        assert len(steps) == 12
+
     @given(
         st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3), st.integers(0, 4), st.integers(1, 3)
     )
