@@ -59,7 +59,7 @@ from .ratexp import (
     rexp_to_str,
     split,
 )
-from .syntax import check_letter, parse_rexp
+from .syntax import check_letter, check_symbols, parse_rexp
 
 
 def _word_literal(w: str) -> str:
@@ -126,9 +126,7 @@ def cmd_member(args) -> int:
     if getattr(args, unread) is not None:
         raise ParseError(f"--{kind} takes --{operand}, not --{unread}")
     if kind == "rexp":
-        for c in args.word:
-            if not ("a" <= c <= "z"):
-                raise ParseError(f"invalid symbol {c!r} in word")
+        check_symbols(args.word, "word")
         expr, _ = _expression(args, kind, args.word)
         ok = member_naive(expr, args.word)
         subject = f"word {_word_literal(args.word)}"

@@ -480,21 +480,26 @@ def dfa_to_expr(d: Dfa) -> RatExpr:
     return result
 
 
-def dfa_to_dot(d: Dfa, name: str = "dfa") -> str:
+def dot_label(text: str) -> str:
+    """`text` as a quoted DOT string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dfa_to_dot(d: Dfa) -> str:
     """DOT rendering with solid edges; finals as double circles."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    lines = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     labels = d.labels
     for q in range(d.n_states):
         label = labels[q] if labels else f"q{q}"
         shape = "doublecircle" if q in d.finals else "circle"
-        lines.append(f'  q{q} [shape={shape}, label="{label}"];')
+        lines.append(f"  q{q} [shape={shape}, label={dot_label(label)}];")
     lines.append(f"  __start -> q{d.initial};")
     grouped: dict[tuple[int, int], list[str]] = {}
     for p in range(d.n_states):
         for ai, a in enumerate(d.alphabet.letters):
             grouped.setdefault((p, d.trans[p][ai]), []).append(a)
     for (p, q), symbols in sorted(grouped.items()):
-        lines.append(f'  q{p} -> q{q} [label="{",".join(symbols)}"];')
+        lines.append(f"  q{p} -> q{q} [label={dot_label(','.join(symbols))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

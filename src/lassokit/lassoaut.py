@@ -19,6 +19,7 @@ from .langops import (
     boolean_combine,
     complement,
     dfa_to_expr,
+    dot_label,
     equivalent_dfa,
     explore,
     is_empty_dfa,
@@ -65,17 +66,11 @@ def accepts(aut: LassoAutomaton, l: Lasso) -> bool:
 
 
 def loop_dfa(aut: LassoAutomaton, x: int) -> Dfa:
-    """DFA for the nonempty words that, switched from spoke state x, end in
-    a final loop state.
-
-    State 0 is a fresh non-final start that performs the switch step, so
-    the empty word is always rejected; loop state y becomes state y+1.
-    """
-    na = len(aut.alphabet.letters)
-    rows = [tuple(aut.d2[x][ai] + 1 for ai in range(na))]
-    for y in range(aut.n_loop):
-        rows.append(tuple(aut.d3[y][ai] + 1 for ai in range(na)))
-    return Dfa(aut.alphabet, tuple(rows), 0, frozenset(y + 1 for y in aut.finals))
+    """DFA for P_x, the nonempty words that, switched from spoke state x,
+    end in a final loop state: a view of the tables d3 + d2, so loop state
+    y stays state y, and the start n_loop + x (the switch row d2[x]) is not
+    final, which keeps the empty word rejected.  No row is copied."""
+    return Dfa(aut.alphabet, aut.d3 + aut.d2, aut.n_loop + x, aut.finals)
 
 
 def spoke_lang_dfa(aut: LassoAutomaton, x: int) -> Dfa:
@@ -90,16 +85,15 @@ def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
 
 
 def _extract(
-    aut: LassoAutomaton, terminal: type[Terminal], loop_langs: Callable[[LassoAutomaton, int], dict[int, Dfa]]
+    aut: LassoAutomaton, terminal: type[Terminal], loop_langs: Callable[[LassoAutomaton, int], list[Dfa]]
 ) -> TailedExpr:
     """Sum, over reachable spoke states x (in access-word order) and the
     loop-language DFAs loop_langs(aut, x), of the access language of x
     prefixed onto terminal(loop language).
 
-    loop_langs(aut, x) maps the final loop states y whose loop language
-    at x is nonempty, in state order, to a DFA for that language; a spoke
-    state without one contributes nothing, so its access language is
-    never built.  Each loop expression is checked to reject the empty
+    loop_langs(aut, x) lists DFAs for nonempty loop languages at x; a
+    spoke state without one contributes nothing, so its access language
+    is never built.  Each loop expression is checked to reject the empty
     word, as a loop must.
     """
     terms: list[tuple[RatExpr, RatExpr]] = []
@@ -108,7 +102,7 @@ def _extract(
         if not r_dfas:
             continue
         s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
-        for r_dfa in r_dfas.values():
+        for r_dfa in r_dfas:
             r_expr = dfa_to_expr(r_dfa)
             if ewp(r_expr):
                 raise CertificationError("loop language contained the empty word")
@@ -116,23 +110,16 @@ def _extract(
     return prefixed_sum(terminal, terms)
 
 
-def _switch_langs(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
-    """The nonempty languages of loop words that switch from spoke state x
-    into a final loop state y, keyed by y: one reachability search of the
-    switch DFA of x (`loop_dfa`) finds them."""
-    switch = loop_dfa(aut, x)
-    reached, _ = explore([switch.initial], switch.trans.__getitem__, "loop part")
-    return {
-        y: Dfa(aut.alphabet, switch.trans, switch.initial, frozenset({y + 1}))
-        for y in sorted(aut.finals)
-        if y + 1 in reached
-    }
+def _loop_lang(aut: LassoAutomaton, x: int) -> list[Dfa]:
+    """[P_x] (`loop_dfa`) if the loop language at x is nonempty, else []."""
+    px = loop_dfa(aut, x)
+    return [] if is_empty_dfa(px)[0] else [px]
 
 
-def _omega_loop_langs(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
-    """The nonempty omega-power bodies at spoke state x, keyed by final
-    loop state y: the words that return x to x along the spoke, switch
-    from x into y, and return y to y along the loop.
+def _omega_loop_langs(aut: LassoAutomaton, x: int) -> list[Dfa]:
+    """The nonempty omega-power bodies at spoke state x, one per final loop
+    state y in state order: the words that return x to x along the spoke,
+    switch from x into y, and return y to y along the loop.
 
     The first two conditions do not depend on y, so their product is
     built once; only the y whose pair (x, y) it reaches are intersected
@@ -144,24 +131,23 @@ def _omega_loop_langs(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
         [(x, switch.initial)], lambda pq: zip(aut.d1[pq[0]], switch.trans[pq[1]]), "product automaton"
     )
     trans = tuple(rows)
-    langs = {}
+    langs = []
     for y in sorted(aut.finals):
-        i = index.get((x, y + 1))
+        i = index.get((x, y))
         if i is not None:
             spoke_and_switch = Dfa(aut.alphabet, trans, 0, frozenset({i}))
             lang = boolean_combine(spoke_and_switch, Dfa(aut.alphabet, aut.d3, y, frozenset({y})), "and")
             if lang.finals:
-                langs[y] = lang
+                langs.append(lang)
     return langs
 
 
 def extract_expr(aut: LassoAutomaton) -> LassoExpr:
-    """Lasso expression for the accepted language.
-
-    The loop language of spoke state x and final loop state y is the set
-    of loop words that switch from x into y (`_switch_langs`).
-    """
-    return _extract(aut, Circle, _switch_langs)
+    """Lasso expression for the accepted language: Σ_x S_x·(P_x)@ over the
+    reachable spoke states x with nonempty P_x (`loop_dfa`), S_x the access
+    language of x.  One term per x suffices: (u, v) is accepted iff v is
+    in P_x for the x that u reaches."""
+    return _extract(aut, Circle, _loop_lang)
 
 
 def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
@@ -171,7 +157,10 @@ def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
     component is the intersection of three DFAs: words returning x to x
     along the spoke, words switching from x into y, and words returning
     y to y along the loop (`_omega_loop_langs`, one product of the first
-    two per x).  Raises if the automaton is not saturated.
+    two per x).  Unlike `extract_expr` it keeps one term per pair (x, y):
+    the omega power of a union is not the union of the omega powers, so
+    the bodies of one x cannot be merged.  Raises if the automaton is not
+    saturated.
     """
     sat, pair = is_saturated(aut)
     if not sat:
@@ -517,15 +506,15 @@ def read_automaton(text: str) -> LassoAutomaton:
     )
 
 
-def lasso_to_dot(aut: LassoAutomaton, name: str = "lasso") -> str:
+def lasso_to_dot(aut: LassoAutomaton) -> str:
     """DOT rendering: spoke transitions solid, switch dotted, loop dashed."""
     spoke, loop = _default_names(aut)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    lines = ["digraph lasso {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for x in range(aut.n_spoke):
-        lines.append(f'  s{x} [shape=circle, label="{spoke[x]}"];')
+        lines.append(f"  s{x} [shape=circle, label={dot_label(spoke[x])}];")
     for y in range(aut.n_loop):
         shape = "doublecircle" if y in aut.finals else "circle"
-        lines.append(f'  l{y} [shape={shape}, label="{loop[y]}"];')
+        lines.append(f"  l{y} [shape={shape}, label={dot_label(loop[y])}];")
     lines.append(f"  __start -> s{aut.initial};")
 
     def emit(prefix_src, prefix_dst, table, style):
@@ -534,9 +523,8 @@ def lasso_to_dot(aut: LassoAutomaton, name: str = "lasso") -> str:
             for ai, a in enumerate(aut.alphabet.letters):
                 grouped.setdefault((src, table[src][ai]), []).append(a)
         for (src, dst), symbols in sorted(grouped.items()):
-            lines.append(
-                f'  {prefix_src}{src} -> {prefix_dst}{dst} [label="{",".join(symbols)}", style={style}];'
-            )
+            label = dot_label(",".join(symbols))
+            lines.append(f"  {prefix_src}{src} -> {prefix_dst}{dst} [label={label}, style={style}];")
 
     emit("s", "s", aut.d1, "solid")
     emit("s", "l", aut.d2, "dotted")

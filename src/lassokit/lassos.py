@@ -18,6 +18,7 @@ from math import lcm
 
 from .errors import ParseError
 from .ratexp import Alphabet, words_up_to
+from .syntax import check_symbols
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,7 @@ def parse_lasso(text: str) -> Lasso:
     spoke, loop = text.split(":")
     if not loop:
         raise ParseError("lasso loop must be nonempty")
-    for c in spoke + loop:
-        if not ("a" <= c <= "z"):
-            raise ParseError(f"invalid symbol {c!r} in lasso literal")
+    check_symbols(spoke + loop, "lasso literal")
     return Lasso(spoke, loop)
 
 

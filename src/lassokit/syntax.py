@@ -109,6 +109,13 @@ def check_letter(c: str, alphabet: Alphabet | None, pos: int | None = None) -> N
         raise ParseError(f"letter {c!r} outside alphabet {''.join(alphabet.letters)!r}", pos)
 
 
+def check_symbols(text: str, where: str) -> None:
+    """Raise ParseError on the first symbol of text outside a-z, in `where`."""
+    for c in text:
+        if not ("a" <= c <= "z"):
+            raise ParseError(f"invalid symbol {c!r} in {where}")
+
+
 def parse_raw(text: str, allow: frozenset[str] = frozenset(), alphabet: Alphabet | None = None) -> RawExpr:
     return _Parser(text, allow, alphabet).parse()
 

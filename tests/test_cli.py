@@ -167,6 +167,18 @@ class TestQueries:
         assert code == 0
         assert out.startswith("digraph")
 
+    def test_dot_file_escapes_labels(self, capsys, tmp_path):
+        # state names may hold any symbol but whitespace, '#' and ':'
+        path = tmp_path / "quoted.lauto"
+        path.write_text(
+            "alphabet: a\nspoke: p\"q\nloop: r\\\ninitial: p\"q\nfinal: r\\\n"
+            "d1: p\"q a p\"q\nd2: p\"q a r\\\nd3: r\\ a r\\\n"
+        )
+        code, out, _ = run(capsys, "dot", str(path))
+        assert code == 0
+        assert '  s0 [shape=circle, label="p\\"q"];\n' in out
+        assert '  l0 [shape=doublecircle, label="r\\\\"];\n' in out
+
 
 class TestErrors:
     def test_parse_error_is_exit_2(self, capsys):
@@ -287,7 +299,7 @@ class TestErrors:
 
         # a loop language with the empty word
         nullable = compile_dfa(parse_rexp("1+a"), Alphabet(("a", "b")))
-        monkeypatch.setattr(lassoaut, "_switch_langs", lambda aut, x: {0: nullable})
+        monkeypatch.setattr(lassoaut, "_loop_lang", lambda aut, x: [nullable])
         code, out, err = run(capsys, "extract", FIG1)
         assert code == 3
         assert out == ""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from collections import defaultdict
 
@@ -39,9 +40,10 @@ from lassokit import (
     write_automaton,
 )
 from lassokit.langops import Dfa, explore
+from lassokit.lassoexp import LSum, LZERO, Prefix
 from lassokit.lassos import up_equal
 from lassokit.omega import OZERO, omega_to_omega_automaton
-from lassokit.ratexp import words_up_to
+from lassokit.ratexp import ONE, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -119,37 +121,60 @@ class TestExtract:
             assert member_lasso_naive(expr, l) == member_lasso_naive(rho, l), l
 
 
-def switch_langs_oracle(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
-    """The per-pair construction `lassoaut._switch_langs` replaced: one
-    loop DFA and one emptiness search per final loop state y."""
-    langs = {}
-    for y in sorted(aut.finals):
-        d = Dfa(aut.alphabet, loop_dfa(aut, x).trans, 0, frozenset({y + 1}))
-        if not is_empty_dfa(d)[0]:
-            langs[y] = d
-    return langs
+class TestExtractSummands:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_one_summand_per_live_spoke_state(self, rng):
+        # Σ_x S_x·(P_x)@ over the reachable x with P_x nonempty, in
+        # access-word order; a summand whose S_x is {ε} is a bare circle
+        aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, 6))
+        expr = rest = extract_expr(aut)
+        summands = []
+        while isinstance(rest, LSum):
+            summands.append(rest.left)
+            rest = rest.right
+        if rest != LZERO:
+            summands.append(rest)
+        live = [x for x in lassoaut._spoke_access_words(aut) if not is_empty_dfa(loop_dfa(aut, x))[0]]
+        assert len(summands) == len(live), (aut, summands)
+        for term, x in zip(summands, live):
+            head, circle = (term.head, term.tail) if isinstance(term, Prefix) else (ONE, term)
+            assert equivalent_dfa(compile_dfa(head, AB), spoke_lang_dfa(aut, x))[0], (aut, x)
+            assert equivalent_dfa(compile_dfa(circle.body, AB), loop_dfa(aut, x))[0], (aut, x)
+        assert equivalent_lasso(compile_lasso(expr, AB), aut) == (True, None), aut
 
 
-def omega_loop_langs_oracle(aut: LassoAutomaton, x: int) -> dict[int, Dfa]:
+def switch_dfa(aut: LassoAutomaton, x: int, y: int) -> Dfa:
+    """The loop words that switch from spoke state x into loop state y."""
+    return Dfa(aut.alphabet, aut.d3 + aut.d2, aut.n_loop + x, frozenset({y}))
+
+
+def loop_lang_oracle(aut: LassoAutomaton, x: int) -> list[Dfa]:
+    """The per-pair construction `lassoaut._loop_lang` replaced: one loop
+    language per final loop state y, kept if nonempty; P_x is their union."""
+    langs = [d for y in sorted(aut.finals) if not is_empty_dfa(d := switch_dfa(aut, x, y))[0]]
+    return [functools.reduce(lambda d1, d2: boolean_combine(d1, d2, "or"), langs)] if langs else []
+
+
+def omega_loop_langs_oracle(aut: LassoAutomaton, x: int) -> list[Dfa]:
     """The per-pair construction `lassoaut._omega_loop_langs` replaced: two
     products and one emptiness search per final loop state y."""
-    langs = {}
+    langs = []
     for y in sorted(aut.finals):
         spoke_return = Dfa(aut.alphabet, aut.d1, x, frozenset({x}))
         loop_return = Dfa(aut.alphabet, aut.d3, y, frozenset({y}))
-        switch = Dfa(aut.alphabet, loop_dfa(aut, x).trans, 0, frozenset({y + 1}))
-        d = boolean_combine(boolean_combine(spoke_return, switch, "and"), loop_return, "and")
+        d = boolean_combine(boolean_combine(spoke_return, switch_dfa(aut, x, y), "and"), loop_return, "and")
         if not is_empty_dfa(d)[0]:
-            langs[y] = d
+            langs.append(d)
     return langs
 
 
 @pytest.mark.parametrize(
     "langs, oracle",
-    [(lassoaut._switch_langs, switch_langs_oracle), (lassoaut._omega_loop_langs, omega_loop_langs_oracle)],
+    [(lassoaut._loop_lang, loop_lang_oracle), (lassoaut._omega_loop_langs, omega_loop_langs_oracle)],
 )
 def test_loop_langs_equal_per_pair_oracle(langs, oracle):
-    # the same (x, y) pairs kept, in the same order, with the same languages
+    # the same languages, in the same order
     rng = random.Random(71)
     saturated = 0
     for _ in range(150):
@@ -157,16 +182,14 @@ def test_loop_langs_equal_per_pair_oracle(langs, oracle):
         saturated += is_saturated(aut)[0]
         for x in lassoaut._spoke_access_words(aut):
             new, old = langs(aut, x), oracle(aut, x)
-            assert list(new) == list(old), (aut, x)
-            for y in new:
-                assert minimize_dfa(new[y]) == minimize_dfa(old[y]), (aut, x, y)
+            assert list(map(minimize_dfa, new)) == list(map(minimize_dfa, old)), (aut, x)
     assert 30 <= saturated <= 120
 
 
 def test_nullable_loop_language_is_certification_error(fig1, monkeypatch):
     # a loop expression with the empty word fails the self-check, also
     # under `python -O`
-    monkeypatch.setattr(lassoaut, "_switch_langs", lambda aut, x: {0: compile_dfa(parse_rexp("1+a"), AB)})
+    monkeypatch.setattr(lassoaut, "_loop_lang", lambda aut, x: [compile_dfa(parse_rexp("1+a"), AB)])
     with pytest.raises(CertificationError, match="^loop language contained the empty word$"):
         extract_expr(fig1)
 
