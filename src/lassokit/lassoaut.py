@@ -78,30 +78,20 @@ def spoke_lang_dfa(aut: LassoAutomaton, x: int) -> Dfa:
     return Dfa(aut.alphabet, aut.d1, aut.initial, frozenset({x}))
 
 
-def _spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
-    """Shortest access word per reachable spoke state, in length-lex order."""
-    index, rows = explore([aut.initial], aut.d1.__getitem__, "spoke part")
-    return dict(zip(index, access_words(rows, aut.alphabet.letters)))
-
-
 def _extract(
-    aut: LassoAutomaton, terminal: type[Terminal], loop_langs: Callable[[LassoAutomaton, int], list[Dfa]]
+    m: LassoAutomaton, terminal: type[Terminal], loop_langs: Callable[[LassoAutomaton, int], list[Dfa]]
 ) -> TailedExpr:
-    """Sum, over reachable spoke states x (in access-word order) and the
-    loop-language DFAs loop_langs(aut, x), of the access language of x
-    prefixed onto terminal(loop language).
-
-    loop_langs(aut, x) lists DFAs for nonempty loop languages at x; a
-    spoke state without one contributes nothing, so its access language
-    is never built.  Each loop expression is checked to reject the empty
-    word, as a loop must.
-    """
+    """Sum, over the spoke states x of a minimal automaton m (numbered in
+    access-word order by `minimize_lasso`) and the DFAs loop_langs(m, x)
+    of the nonempty loop languages at x, of the access language of x
+    prefixed onto terminal(loop language).  Each loop expression is
+    checked to reject the empty word, as a loop must."""
     terms: list[tuple[RatExpr, RatExpr]] = []
-    for x in _spoke_access_words(aut):
-        r_dfas = loop_langs(aut, x)
+    for x in range(m.n_spoke):
+        r_dfas = loop_langs(m, x)
         if not r_dfas:
             continue
-        s_expr = dfa_to_expr(spoke_lang_dfa(aut, x))
+        s_expr = dfa_to_expr(spoke_lang_dfa(m, x))
         for r_dfa in r_dfas:
             r_expr = dfa_to_expr(r_dfa)
             if ewp(r_expr):
@@ -144,31 +134,34 @@ def _omega_loop_langs(aut: LassoAutomaton, x: int) -> list[Dfa]:
 
 def extract_expr(aut: LassoAutomaton) -> LassoExpr:
     """Lasso expression for the accepted language: Σ_x S_x·(P_x)@ over the
-    reachable spoke states x with nonempty P_x (`loop_dfa`), S_x the access
-    language of x.  One term per x suffices: (u, v) is accepted iff v is
-    in P_x for the x that u reaches."""
-    return _extract(aut, Circle, _loop_lang)
+    spoke states x of `minimize_lasso(aut)` with nonempty P_x (`loop_dfa`),
+    S_x the access language of x, so the text depends only on the language.
+    One term per x suffices: (u, v) is accepted iff v is in P_x for the x
+    that u reaches."""
+    return _extract(minimize_lasso(aut), Circle, _loop_lang)
 
 
 def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
     """Omega expression for the omega language of a saturated automaton.
 
-    For each reachable spoke state x and final loop state y the loop
-    component is the intersection of three DFAs: words returning x to x
-    along the spoke, words switching from x into y, and words returning
-    y to y along the loop (`_omega_loop_langs`, one product of the first
-    two per x).  Unlike `extract_expr` it keeps one term per pair (x, y):
-    the omega power of a union is not the union of the omega powers, so
-    the bodies of one x cannot be merged.  Raises if the automaton is not
-    saturated.
+    The saturation check and the sum read one minimal automaton
+    (`minimize_lasso`), so the text depends only on the language.  For
+    each of its spoke states x and final loop states y the loop component
+    is the intersection of three DFAs: words returning x to x along the
+    spoke, words switching from x into y, and words returning y to y
+    along the loop (`_omega_loop_langs`, one product of the first two per
+    x).  Unlike `extract_expr` it keeps one term per pair (x, y): the
+    omega power of a union is not the union of the omega powers.  Raises
+    if the automaton is not saturated.
     """
-    sat, pair = is_saturated(aut)
+    m = minimize_lasso(aut)
+    sat, pair = is_saturated(m)
     if not sat:
         raise ValueError(
             f"automaton is not saturated (e.g. {pair[0]} accepted but {pair[1]} rejected); "
             "omega extraction requires saturation"
         )
-    return _extract(aut, OmegaPower, _omega_loop_langs)
+    return _extract(m, OmegaPower, _omega_loop_langs)
 
 
 def equivalent_lasso(a1: LassoAutomaton, a2: LassoAutomaton) -> tuple[bool, Lasso | None]:
@@ -241,12 +234,12 @@ def _pair_size(pair: tuple[Lasso, Lasso]) -> int:
     return len(a.spoke) + len(a.loop) + len(b.spoke) + len(b.loop)
 
 
-def _rotation_pairs(aut: LassoAutomaton, loop_dfas: dict[int, Dfa], x: int, u: str) -> list[tuple[Lasso, Lasso]]:
+def _rotation_pairs(aut: LassoAutomaton, x: int, u: str) -> list[tuple[Lasso, Lasso]]:
     """Failures of the letter rotation condition at spoke state x, one
     (accepted, rejected) pair per failing letter, in alphabet order."""
     pairs = []
     for ai, a in enumerate(aut.alphabet.letters):
-        eq, w = equivalent_dfa(left_derivative(loop_dfas[x], a), right_quotient(loop_dfas[aut.d1[x][ai]], a))
+        eq, w = equivalent_dfa(left_derivative(loop_dfa(aut, x), a), right_quotient(loop_dfa(aut, aut.d1[x][ai]), a))
         if not eq:
             reduct, expanded = Lasso(u, a + w), Lasso(u + a, w + a)
             pairs.append((reduct, expanded) if accepts(aut, reduct) else (expanded, reduct))
@@ -315,6 +308,11 @@ def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]
     failures (ties: first in scan order -- spoke states in BFS order, the
     rotation check per letter, then collapse, then power).
 
+    The scan runs on `minimize_lasso(aut)`, whose classes carry their
+    first-reached member's access word.  Witness words come from languages,
+    so a merged member gives its class's words with a spoke no shorter,
+    later in the scan: the least pair is the one of the automaton as given.
+
     The rotation condition is checked first at every spoke state.  If it
     fails anywhere, let B be the size of its smallest pair.  A collapse or
     power pair at x built from the word w has size 2|u| + (k+1)|w| with
@@ -327,13 +325,13 @@ def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]
     built only when it holds everywhere, which includes every saturated
     automaton.
     """
-    access = _spoke_access_words(aut)
-    loop_dfas = {x: loop_dfa(aut, x) for x in access}
-    rotations = {x: _rotation_pairs(aut, loop_dfas, x, u) for x, u in access.items()}
-    best_rotation = min((_pair_size(p) for pairs in rotations.values() for p in pairs), default=None)
+    m = minimize_lasso(aut)
+    access = access_words(m.d1, m.alphabet.letters)
+    rotations = [_rotation_pairs(m, x, u) for x, u in enumerate(access)]
+    best_rotation = min((_pair_size(p) for pairs in rotations for p in pairs), default=None)
     candidates: list[tuple[Lasso, Lasso]] = []
-    for x, u in access.items():
-        px = loop_dfas[x]
+    for x, u in enumerate(access):
+        px = loop_dfa(m, x)
         candidates += rotations[x]
         if best_rotation is not None:
             collapse, power = _short_orbit_witnesses(px, (best_rotation - 2 * len(u)) // 3)

@@ -11,6 +11,7 @@ from collections import deque
 
 from lassokit.langops import (
     Dfa,
+    access_words,
     boolean_combine,
     compile_dfa,
     complement,
@@ -24,7 +25,7 @@ from lassokit.langops import (
     right_quotient,
     root,
 )
-from lassokit.lassoaut import LassoAutomaton, _power_witness, _spoke_access_words, accepts, loop_dfa
+from lassokit.lassoaut import LassoAutomaton, _power_witness, _short_orbit_witnesses, accepts, loop_dfa
 from lassokit.lassoexp import Circle, DisjunctiveForm, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
 from lassokit.omega import Nba, OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _oexp_alphabet, to_nba
@@ -237,45 +238,64 @@ def live_states_oracle(nba: Nba) -> frozenset[int]:
     return frozenset(explore(on_cycle, pred.__getitem__, "Buchi automaton")[0])
 
 
-def is_saturated_oracle(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:
-    """Saturation check that builds root(P_x) and root(complement(P_x)) at
-    every reachable spoke state x, whatever the rotation check found.
+def spoke_access_words(aut: LassoAutomaton) -> dict[int, str]:
+    """Shortest access word per reachable spoke state of the automaton as
+    given, in breadth-first (length-lex) order."""
+    index, rows = explore([aut.initial], aut.d1.__getitem__, "spoke part")
+    return dict(zip(index, access_words(rows, aut.alphabet.letters)))
 
-    `lassoaut.is_saturated` skips the roots when a rotation failure bounds
-    the size of the answer; the two must return the same verdict and pair.
+
+def is_saturated_oracle(aut: LassoAutomaton, bounded: bool = True) -> tuple[bool, tuple[Lasso, Lasso] | None]:
+    """The saturation scan on the automaton as given: its reachable spoke
+    states in breadth-first order, unminimized.
+
+    `lassoaut.is_saturated` runs the scan on `minimize_lasso(aut)`; the
+    two must return the same verdict and pair.  When a rotation failure
+    bounds the size of the answer, the bounded scan searches the collapse
+    and power witnesses only up to that bound, as `is_saturated` does;
+    with bounded=False it builds root(P_x) and root(complement(P_x)) at
+    every spoke state, whatever the rotation check found.
     """
-    access = _spoke_access_words(aut)
+    access = spoke_access_words(aut)
     loop_dfas = {x: loop_dfa(aut, x) for x in access}
-    candidates: list[tuple[Lasso, Lasso]] = []
-    for x, u in access.items():
-        px = loop_dfas[x]
-        for ai, a in enumerate(aut.alphabet.letters):
-            x2 = aut.d1[x][ai]
-            eq, w = equivalent_dfa(left_derivative(px, a), right_quotient(loop_dfas[x2], a))
-            if not eq:
-                reduct = Lasso(u, a + w)
-                expanded = Lasso(u + a, w + a)
-                if accepts(aut, reduct):
-                    candidates.append((reduct, expanded))
-                else:
-                    candidates.append((expanded, reduct))
-        empty, w = is_empty_dfa(boolean_combine(root(px), px, "diff"))
-        if not empty:
-            k = _power_witness(px, w, want_final=True)
-            assert k is not None, "power witness not found within the orbit bound"
-            candidates.append((Lasso(u, w * k), Lasso(u, w)))
-        empty, w = is_empty_dfa(boolean_combine(px, root(complement(px)), "and"))
-        if not empty:
-            k = _power_witness(px, w, want_final=False)
-            assert k is not None, "power witness not found within the orbit bound"
-            candidates.append((Lasso(u, w), Lasso(u, w * k)))
-    if not candidates:
-        return (True, None)
 
     def size(pair: tuple[Lasso, Lasso]) -> int:
         a, b = pair
         return len(a.spoke) + len(a.loop) + len(b.spoke) + len(b.loop)
 
+    rotations: dict[int, list[tuple[Lasso, Lasso]]] = {}
+    for x, u in access.items():
+        rotations[x] = []
+        for ai, a in enumerate(aut.alphabet.letters):
+            x2 = aut.d1[x][ai]
+            eq, w = equivalent_dfa(left_derivative(loop_dfas[x], a), right_quotient(loop_dfas[x2], a))
+            if not eq:
+                reduct = Lasso(u, a + w)
+                expanded = Lasso(u + a, w + a)
+                if accepts(aut, reduct):
+                    rotations[x].append((reduct, expanded))
+                else:
+                    rotations[x].append((expanded, reduct))
+    best_rotation = min((size(p) for pairs in rotations.values() for p in pairs), default=None)
+    candidates: list[tuple[Lasso, Lasso]] = []
+    for x, u in access.items():
+        px = loop_dfas[x]
+        candidates += rotations[x]
+        if bounded and best_rotation is not None:
+            collapse, power = _short_orbit_witnesses(px, (best_rotation - 2 * len(u)) // 3)
+        else:
+            empty, w = is_empty_dfa(boolean_combine(root(px), px, "diff"))
+            collapse = None if empty else (w, _power_witness(px, w, want_final=True))
+            empty, w = is_empty_dfa(boolean_combine(px, root(complement(px)), "and"))
+            power = None if empty else (w, _power_witness(px, w, want_final=False))
+        if collapse is not None:
+            w, k = collapse
+            candidates.append((Lasso(u, w * k), Lasso(u, w)))
+        if power is not None:
+            w, k = power
+            candidates.append((Lasso(u, w), Lasso(u, w * k)))
+    if not candidates:
+        return (True, None)
     return (False, min(candidates, key=size))
 
 

@@ -6,7 +6,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_saturated_oracle, random_lauto
+from helpers import is_saturated_oracle, random_lauto, spoke_access_words
 from lassokit import lassoaut
 from lassokit import (
     Alphabet,
@@ -125,9 +125,11 @@ class TestExtractSummands:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_one_summand_per_live_spoke_state(self, rng):
-        # Σ_x S_x·(P_x)@ over the reachable x with P_x nonempty, in
-        # access-word order; a summand whose S_x is {ε} is a bare circle
+        # Σ_x S_x·(P_x)@ over the spoke states x of the minimal automaton
+        # with P_x nonempty, in its state order (access-word order); a
+        # summand whose S_x is {ε} is a bare circle
         aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, 6))
+        m = minimize_lasso(aut)
         expr = rest = extract_expr(aut)
         summands = []
         while isinstance(rest, LSum):
@@ -135,13 +137,24 @@ class TestExtractSummands:
             rest = rest.right
         if rest != LZERO:
             summands.append(rest)
-        live = [x for x in lassoaut._spoke_access_words(aut) if not is_empty_dfa(loop_dfa(aut, x))[0]]
+        live = [x for x in range(m.n_spoke) if not is_empty_dfa(loop_dfa(m, x))[0]]
         assert len(summands) == len(live), (aut, summands)
         for term, x in zip(summands, live):
             head, circle = (term.head, term.tail) if isinstance(term, Prefix) else (ONE, term)
-            assert equivalent_dfa(compile_dfa(head, AB), spoke_lang_dfa(aut, x))[0], (aut, x)
-            assert equivalent_dfa(compile_dfa(circle.body, AB), loop_dfa(aut, x))[0], (aut, x)
+            assert equivalent_dfa(compile_dfa(head, AB), spoke_lang_dfa(m, x))[0], (aut, x)
+            assert equivalent_dfa(compile_dfa(circle.body, AB), loop_dfa(m, x))[0], (aut, x)
         assert equivalent_lasso(compile_lasso(expr, AB), aut) == (True, None), aut
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_text_depends_only_on_the_language(self, rng):
+        # both extractors read the minimal automaton, so an automaton and
+        # its minimal automaton extract to the same expression
+        aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, 6))
+        m = minimize_lasso(aut)
+        assert extract_expr(aut) == extract_expr(m), aut
+        if is_saturated(aut)[0]:
+            assert extract_omega_expr(aut) == extract_omega_expr(m), aut
 
 
 def switch_dfa(aut: LassoAutomaton, x: int, y: int) -> Dfa:
@@ -180,7 +193,7 @@ def test_loop_langs_equal_per_pair_oracle(langs, oracle):
     for _ in range(150):
         aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, 6))
         saturated += is_saturated(aut)[0]
-        for x in lassoaut._spoke_access_words(aut):
+        for x in spoke_access_words(aut):
             new, old = langs(aut, x), oracle(aut, x)
             assert list(map(minimize_dfa, new)) == list(map(minimize_dfa, old)), (aut, x)
     assert 30 <= saturated <= 120
@@ -324,7 +337,72 @@ class TestSaturation:
         # a capped oracle would fail the test, not skip it.
         letters, max_loop = letters_and_max_loop
         aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, max_loop), letters)
+        assert is_saturated(aut) == is_saturated_oracle(aut, bounded=False)
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(["ab", "abc"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unminimized_scan(self, rng, letters):
+        # the scan on the minimal automaton and the scan on the automaton
+        # as given return the same verdict and the same pair
+        aut = random_lauto(rng, rng.randint(1, 6), rng.randint(1, 9), letters)
         assert is_saturated(aut) == is_saturated_oracle(aut)
+
+    # unreachable spoke state 0 switches into b(a+b)*, which fails the
+    # rotation check; the reachable part accepts every lasso
+    UNREACHABLE = LassoAutomaton(
+        AB, d1=((0, 0), (1, 1)), d2=((1, 0), (0, 0)), d3=((0, 0), (1, 1)), initial=1, finals=frozenset({0})
+    )
+    # spoke states 4 (access word a) and 3 (b) are equivalent; the least
+    # pair is a rotation pair at 4, and 3 has one of the same size
+    SAME_LENGTH = LassoAutomaton(
+        AB,
+        d1=((4, 3), (0, 5), (0, 1), (1, 0), (1, 0), (3, 4)),
+        d2=((0, 1), (2, 2), (2, 0), (1, 0), (1, 0), (2, 1)),
+        d3=((0, 0), (1, 1), (2, 1)),
+        initial=0,
+        finals=frozenset({0, 1}),
+    )
+    # spoke state 5 (access word b) merges into the class of 0 (a); its
+    # rotation pair (b:a, ba:a) ties the least pair, found at the initial
+    # state 1 first in scan order
+    MERGED_TIE = LassoAutomaton(
+        AB,
+        d1=((4, 5), (0, 5), (3, 5), (5, 2), (0, 4), (4, 5)),
+        d2=((0, 1), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1)),
+        d3=((0, 1), (0, 1)),
+        initial=1,
+        finals=frozenset({0}),
+    )
+
+    # three pairs of size 7 tie: rotation pairs at the spoke states
+    # reached by b and by aa, and a power pair at ba; breadth-first order
+    # scans b first, a depth-first order would scan aa first
+    BREADTH_FIRST = LassoAutomaton(
+        AB,
+        d1=((4, 4), (2, 3), (4, 4), (5, 4), (2, 5), (5, 0)),
+        d2=((2, 1), (3, 3), (2, 3), (2, 2), (0, 0), (3, 1)),
+        d3=((0, 0), (1, 2), (2, 2), (3, 3)),
+        initial=1,
+        finals=frozenset({1}),
+    )
+
+    @pytest.mark.parametrize(
+        "aut, n_spoke, expected",
+        [
+            (UNREACHABLE, 1, (True, None)),
+            (SAME_LENGTH, 4, (False, (Lasso("a", "a"), Lasso("aa", "a")))),
+            (MERGED_TIE, 3, (False, (Lasso("a", "ba"), Lasso("", "ab")))),
+            (BREADTH_FIRST, 6, (False, (Lasso("ba", "ba"), Lasso("b", "ab")))),
+        ],
+        ids=["unreachable", "same_length", "merged_tie", "breadth_first"],
+    )
+    def test_merged_states_keep_the_pair(self, aut, n_spoke, expected):
+        assert minimize_lasso(aut).n_spoke == n_spoke
+        assert is_saturated(aut) == is_saturated_oracle(aut) == expected
+
+    def test_unreachable_state_would_fail(self):
+        # started from the unreachable state, the automaton is not saturated
+        assert not is_saturated(dataclasses.replace(self.UNREACHABLE, initial=0))[0]
 
     def test_orbit_pair_ties_rotation_pair(self):
         # the power pair (a:b, a:bb) at the second spoke state in scan order
@@ -339,7 +417,7 @@ class TestSaturation:
             finals=frozenset({3, 5}),
         )
         expected = (False, (Lasso("a", "b"), Lasso("a", "bb")))
-        assert is_saturated(aut) == is_saturated_oracle(aut) == expected
+        assert is_saturated(aut) == is_saturated_oracle(aut, bounded=False) == expected
 
     def test_rotation_failure_builds_no_root(self, monkeypatch):
         # automata the size of the benchmark's check-only items; on 8 of
