@@ -21,19 +21,26 @@ omega-languages", MFPS 1993), so that automaton is saturated too.
 The oracle (`to_nba`/`up_member`) goes through a nondeterministic Buchi
 automaton, kept as one successor table (`Nba.rows`), and shares nothing
 with the lasso machinery, so pipeline bugs cannot cancel out in the
-tests.  Both of its searches ask one graph question, which nodes reach
-an accepting node lying on a cycle, and `_live` answers it in one
-linear strongly-connected-components pass (Tarjan, "Depth-first search
-and linear graph algorithms", 1972).  On the automaton's states times a
-loop word's positions (`_loop_accepting`) it finds the states from which
-the loop's omega power is accepted; `up_member` runs the spoke and meets
-that set, so every spoke with the same loop shares the pass.  The sets
-are kept in an `lru_cache` of `LOOP_CACHE_SIZE` entries; `to_nba` is
-unbounded.  On the automaton's edges over all letters (`_live_states`)
-it finds the live states, on which `live_spoke_walk` tests spokes alone,
-so that enumeration decides a lasso only when some omega word can
-follow its spoke (the live-state pruning of Ackerman & Shallit,
-"Efficient enumeration of words in regular languages", 2009).
+tests.  `up_member` meets two sets of states.  One is the set the spoke
+leads to (`_spoke_states`), from one subset walk on bit masks.  The
+other is the set from which the loop's omega power is accepted
+(`_loop_accepting`).  It is read off the loop's transition profile
+(`_profile`): for each state, which states the loop leads it to, and
+which of them on a path through an accepting state (Sistla, Vardi &
+Wolper, TCS 1987).  One transitive closure of the profile answers every
+state at once (`_omega_accepting`).  Every lasso with the same spoke or
+the same loop shares that half.  Sets of states are int bit masks
+here.  The per-letter successor masks of each automaton and both halves
+are kept in `lru_cache`s of `LOOP_CACHE_SIZE` entries each; `to_nba` is
+unbounded.  The live states, from which some omega word is accepted,
+are the nodes that reach an accepting node lying on a cycle; `_live`
+finds them on the automaton's edges over all letters (`_live_states`)
+in one linear strongly-connected-components pass (Tarjan, "Depth-first
+search and linear graph algorithms", 1972).
+On them `live_spoke_walk` tests spokes alone, so that enumeration
+decides a lasso only when some omega word can follow its spoke (the
+live-state pruning of Ackerman & Shallit, "Efficient enumeration of
+words in regular languages", 2009).
 """
 
 from __future__ import annotations
@@ -191,25 +198,113 @@ def _live(
     return good
 
 
-# (NBA, loop word) pairs whose accepting states `_loop_accepting` keeps
+# entries of each of the oracle's caches, keyed by NBA or (NBA, word)
 LOOP_CACHE_SIZE = 1024
 
 
+def _mask(states: Iterable[int]) -> int:
+    """The int bit mask of a set of states."""
+    return sum(1 << q for q in states)
+
+
 @lru_cache(maxsize=LOOP_CACHE_SIZE)
-def _loop_accepting(nba: Nba, loop: str) -> frozenset[int]:
-    """The states of the NBA from which it accepts loop^ω: `_live` on the
-    product of the states with the loop's positions, node q·m + j for
-    state q at position j, read at position 0."""
-    m = len(loop)
-    columns = [nba.alphabet.index(a) for a in loop]
+def _bit_rows(nba: Nba) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The NBA on bit masks, built once per automaton: `rows[i][q]` holds
+    q's successors on the i-th letter; the second field holds the
+    accepting states."""
+    rows = tuple(tuple(_mask(row[i]) for row in nba.rows) for i in range(len(nba.alphabet)))
+    return rows, _mask(nba.accepting)
 
-    def successors(v: int) -> list[int]:
-        q, j = divmod(v, m)
-        nxt = (j + 1) % m
-        return [p * m + nxt for p in nba.rows[q][columns[j]]]
 
-    good = _live(range(0, len(nba.rows) * m, m), successors, lambda v: v // m in nba.accepting)
-    return frozenset(q for q in range(len(nba.rows)) if q * m in good)
+def _image(row: tuple[int, ...], states: int) -> int:
+    """The states one edge of `row` away from the bit mask `states`."""
+    out = 0
+    while states:
+        low = states & -states
+        out |= row[low.bit_length() - 1]
+        states ^= low
+    return out
+
+
+# a word's transition profile: (reach, through), one bit mask per state each
+Profile = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _profile(nba: Nba, word: str) -> Profile:
+    """The transition profile of a word: two bit masks per state p.
+    `reach[p]` holds the states the word leads p to, and `through[p]`
+    those it leads p to on a path that visits an accepting state after
+    at least one letter.  Folded one letter at a time, without recursion,
+    from the empty word's profile."""
+    n = len(nba.rows)
+    profile = tuple(1 << p for p in range(n)), (0,) * n
+    for a in word:
+        profile = _extend(nba, profile, a)
+    return profile
+
+
+def _extend(nba: Nba, profile: Profile, a: str) -> Profile:
+    """The profile of wa from the profile (reach, through) of w: letter a
+    maps reach to δ_a(reach), and through to δ_a(through) | (δ_a(reach) &
+    accepting)."""
+    rows, accepting = _bit_rows(nba)
+    row = rows[nba.alphabet.index(a)]
+    reach = tuple([_image(row, r) for r in profile[0]])
+    return reach, tuple([_image(row, t) | (r & accepting) for r, t in zip(reach, profile[1])])
+
+
+def _omega_accepting(profile: Profile) -> int:
+    """The states from which w^ω is accepted, as a bit mask, given the
+    profile (reach, through) of w.
+
+    A run on w^ω walks the graph with an edge from x to every state of
+    reach[x], and it is accepting iff it takes an edge into through[x]
+    infinitely often.  So q accepts iff q reaches some x that has an
+    edge to some y in through[x] from which x is reached back.  "Reaches"
+    is in zero or more edges; `closed[x]` holds what x reaches, from one
+    Warshall pass over bit masks, quadratic in the states.  When no path
+    of w visits an accepting state, no run of w^ω does.
+    """
+    reach, through = profile
+    if not any(through):
+        return 0
+    closed = [r | 1 << x for x, r in enumerate(reach)]
+    for k in range(len(closed)):
+        bit, ck = 1 << k, closed[k]
+        closed = [c | ck if c & bit else c for c in closed]
+    good = sum(1 << x for x, t in enumerate(through) if _image(closed, t) >> x & 1)
+    return sum(1 << q for q, c in enumerate(closed) if c & good)
+
+
+@lru_cache(maxsize=LOOP_CACHE_SIZE)
+def _loop_accepting(nba: Nba, loop: str) -> int:
+    """The states of the NBA from which it accepts loop^ω, as a bit mask.
+
+    Acceptance of loop^ω depends only on the loop's transition profile,
+    which states it leads each state to and whether on the way it visits
+    an accepting state (Sistla, Vardi & Wolper, "The complementation
+    problem for Büchi automata with applications to temporal logic",
+    TCS 1987).  `_profile` folds the loop's letters into it and
+    `_omega_accepting` reads the states off it.  The cost is linear in
+    the loop's length times the states, plus a closure quadratic in the
+    states, once per distinct loop word (the cache holds
+    `LOOP_CACHE_SIZE` of them).
+    """
+    return _omega_accepting(_profile(nba, loop))
+
+
+@lru_cache(maxsize=LOOP_CACHE_SIZE)
+def _spoke_states(nba: Nba, spoke: str) -> int:
+    """The states of the NBA that the spoke leads to from its initial
+    states, as a bit mask, one subset step per letter; empty once no run
+    survives."""
+    rows, _ = _bit_rows(nba)
+    cur = _mask(nba.initials)
+    for a in spoke:
+        cur = _image(rows[nba.alphabet.index(a)], cur)
+        if not cur:
+            break
+    return cur
 
 
 def _step(nba: Nba, states: Iterable[int], a: str) -> set[int]:
@@ -220,17 +315,19 @@ def _step(nba: Nba, states: Iterable[int], a: str) -> set[int]:
 
 def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
     """Does the ultimately periodic word of the lasso lie in the omega
-    language of T?  Decided on the Buchi automaton: the states reached
-    after the spoke (`_step` per letter, as in `live_spoke_walk`) must
-    meet those from which the loop's omega power is accepted
-    (`_loop_accepting`)."""
+    language of T?  Decided on the Buchi automaton: the states the spoke
+    leads to (`_spoke_states`) must meet those from which loop^ω is
+    accepted (`_loop_accepting`).  The latter are read off the loop's
+    transition profile (Sistla, Vardi & Wolper 1987): for each state, the
+    states the loop leads it to, and those it leads it to through an
+    accepting state.  Both halves are cached per automaton, so the lassos
+    of one spoke walk it once and the lassos of one loop fold it once.
+    A decision costs the spoke's length times the states, plus the loop's
+    length times the states and a closure quadratic in the states, each
+    paid once per distinct spoke or loop word while its cache holds it."""
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
-    cur = nba.initials
-    for a in l.spoke:
-        cur = _step(nba, cur, a)
-        if not cur:
-            return False
-    return not _loop_accepting(nba, l.loop).isdisjoint(cur)
+    cur = _spoke_states(nba, l.spoke)
+    return cur != 0 and _loop_accepting(nba, l.loop) & cur != 0
 
 
 def _live_states(nba: Nba) -> frozenset[int]:

@@ -28,7 +28,7 @@ from lassokit.langops import (
 from lassokit.lassoaut import LassoAutomaton, _power_witness, _short_orbit_witnesses, accepts, loop_dfa
 from lassokit.lassoexp import Circle, DisjunctiveForm, LSum, LZERO, LassoExpr, Prefix
 from lassokit.lassos import Lasso, expansions, normal_form
-from lassokit.omega import Nba, OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _oexp_alphabet, to_nba
+from lassokit.omega import Nba, OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _live, _oexp_alphabet, to_nba
 from lassokit.ratexp import (
     Alphabet,
     Concat,
@@ -175,8 +175,8 @@ def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -
     spoke lies on a cycle, one search per accepting node.
 
     `omega.up_member` instead meets the states after the spoke with the
-    states from which the loop is accepted, found by one component pass
-    per loop word; the two must answer alike.
+    states from which the loop is accepted, read off the loop's
+    transition profile once per loop word; the two must answer alike.
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     succ: dict[tuple[int, str], set[int]] = {}
@@ -218,6 +218,26 @@ def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -
             visited.add(cand)
             stack.extend(node_succ(cand))
     return False
+
+
+def loop_accepting_oracle(nba: Nba, loop: str) -> frozenset[int]:
+    """The states of the NBA from which it accepts loop^ω: `_live` on the
+    product of the states with the loop's positions, node q·m + j for
+    state q at position j, read at position 0.
+
+    `omega._loop_accepting` instead reads them off the loop's transition
+    profile, as a bit mask; the two must hold the same states.
+    """
+    m = len(loop)
+    columns = [nba.alphabet.index(a) for a in loop]
+
+    def successors(v: int) -> list[int]:
+        q, j = divmod(v, m)
+        nxt = (j + 1) % m
+        return [p * m + nxt for p in nba.rows[q][columns[j]]]
+
+    good = _live(range(0, len(nba.rows) * m, m), successors, lambda v: v // m in nba.accepting)
+    return frozenset(q for q in range(len(nba.rows)) if q * m in good)
 
 
 def live_states_oracle(nba: Nba) -> frozenset[int]:

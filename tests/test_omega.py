@@ -9,6 +9,7 @@ from helpers import (
     gamma_class_upto,
     gamma_map_oracle,
     live_states_oracle,
+    loop_accepting_oracle,
     loop_live_spoke_states,
     random_lexp,
     random_oexp,
@@ -149,7 +150,7 @@ class TestOracle:
 
     def test_one_automaton_per_expression(self):
         # the loop cache keys on the automaton's identity, so a second
-        # spoke with the same loop reuses the first one's pass
+        # spoke with the same loop reuses the first one's profile
         T = parse_oexpr("(a+b)*a$")
         assert to_nba(T, AB) is to_nba(T, AB)
         assert up_member(T, Lasso("", "a"), AB)
@@ -158,7 +159,91 @@ class TestOracle:
         assert omega._loop_accepting.cache_info().hits == hits + 1
 
     def test_loop_cache_is_bounded(self):
-        assert omega._loop_accepting.cache_info().maxsize == omega.LOOP_CACHE_SIZE
+        for cache in (omega._bit_rows, omega._spoke_states, omega._loop_accepting):
+            assert cache.cache_info().maxsize == omega.LOOP_CACHE_SIZE, cache
+
+    def test_long_spoke_and_long_loop(self):
+        # 5 000 letters, beyond the default recursion limit: both halves
+        # walk their word without recursion
+        long = ("aab" * 1667)[:5000]
+        cases = [
+            ("(a+b)*(aab+bba)$", Lasso(long, "bba"), True),
+            ("(a+b)*(aab+bba)$", Lasso(long, "b"), False),
+            ("(a*b)$", Lasso("", "a" * 4999 + "b"), True),
+            ("(a*b)$", Lasso("b", "a" * 5000), False),
+        ]
+        for text, l, expected in cases:
+            T = parse_oexpr(text, AB)
+            assert up_member(T, l, AB) == up_member_oracle(T, l, AB) == expected, (text, len(l.spoke), len(l.loop))
+
+
+def loop_accepting(nba, v):
+    """The states of `omega._loop_accepting`'s bit mask."""
+    mask = omega._loop_accepting(nba, v)
+    return frozenset(q for q in range(len(nba.rows)) if mask >> q & 1)
+
+
+class TestLoopAccepting:
+    """`_loop_accepting` reads the states from which loop^ω is accepted off
+    the loop's transition profile; `loop_accepting_oracle` finds them on
+    the product of the states with the loop's positions."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_oracle(self, seed, letters, depth):
+        T = random_oexp(random.Random(seed), letters, depth)
+        alphabet = Alphabet(tuple(letters))
+        nba = to_nba(T, alphabet)
+        for v in list(words_up_to(alphabet, 4 if letters == "ab" else 3))[1:]:
+            assert loop_accepting(nba, v) == loop_accepting_oracle(nba, v), (oexp_to_str(T), v)
+
+    def test_accepting_state_on_no_cycle(self):
+        # (0)$: the fresh accepting start state has no edge back into it
+        nba = to_nba(parse_oexpr("(0)$"), AB)
+        assert nba.accepting
+        for v in ("a", "b", "ab"):
+            assert loop_accepting(nba, v) == loop_accepting_oracle(nba, v) == frozenset()
+
+    def test_automaton_without_states(self):
+        nba = to_nba(OZERO, AB)
+        assert nba.rows == ()
+        assert loop_accepting(nba, "ab") == loop_accepting_oracle(nba, "ab") == frozenset()
+
+    def test_accepting_visit_at_the_last_letter(self):
+        # (ab)$: the loop ab leaves the accepting start state and returns
+        # to it with its last letter, its only accepting visit
+        nba = to_nba(parse_oexpr("(ab)$"), AB)
+        accepted = loop_accepting(nba, "ab")
+        assert nba.initials <= nba.accepting <= accepted
+        assert accepted == loop_accepting_oracle(nba, "ab")
+
+    def test_rotation(self):
+        # (ab)$ with the loop ba: accepted after the spoke a, not before
+        T = parse_oexpr("(ab)$")
+        nba = to_nba(T, AB)
+        accepted = loop_accepting(nba, "ba")
+        assert accepted == loop_accepting_oracle(nba, "ba")
+        assert accepted.isdisjoint(nba.initials)
+        assert up_member(T, Lasso("a", "ba"), AB) and not up_member(T, Lasso("", "ba"), AB)
+
+    @pytest.mark.parametrize(
+        "text, a_from_start", [("(aaaa)$", True), ("aaa((aaa)$)", True), ("(aaaaa+b)$", True), ("(a+b)*(aab+bba)$", False)]
+    )
+    def test_cycles_of_several_loop_words(self, text, a_from_start):
+        # the loop a leads from the start to an accepting state only after
+        # three or more words: the closure must follow several edges, both
+        # before the cycle and around it.  On (aaaaa+b)$ the cycle of aa
+        # runs through the states out of their numbering order.
+        nba = to_nba(parse_oexpr(text), AB)
+        for v in ("a", "aa", "aaa", "b", "ab", "aab"):
+            assert loop_accepting(nba, v) == loop_accepting_oracle(nba, v), v
+        assert (nba.initials <= loop_accepting(nba, "a")) == a_from_start
+
+    def test_loop_that_never_accepts(self):
+        # (a+b)*a$ with the loop b: b^ω cycles through the automaton's
+        # states, but never through an accepting one
+        nba = to_nba(parse_oexpr("(a+b)*a$"), AB)
+        assert loop_accepting(nba, "b") == loop_accepting_oracle(nba, "b") == frozenset()
 
 
 def walk_is_exact(T, alphabet):
