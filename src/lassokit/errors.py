@@ -20,7 +20,8 @@ class AlphabetMismatchError(ValueError):
 
 
 class StateLimitError(RuntimeError):
-    """A state-space construction exceeded langops.STATE_CAP: a resource limit, not a bug."""
+    """A construction exceeded langops.STATE_CAP states, or a certificate
+    langops.POSITION_CAP positions: a resource limit, not a bug."""
 
 
 class CertificationError(RuntimeError):

@@ -40,17 +40,21 @@ from .ratexp import (
     Sum,
     ZERO,
     Zero,
+    _normal_sum,
     deriv,
     ewp,
     infer_alphabet,
+    letter_count,
     normalize_b,
     rcat,
     rexp_to_str,
     rstar,
-    rsum,
 )
 
 STATE_CAP = 100_000
+# letter occurrences of an expression that `_certify` checks: its follow
+# masks take up to one bit per pair of positions, 300 MiB at the cap
+POSITION_CAP = 50_000
 
 S = TypeVar("S", bound=Hashable)
 
@@ -219,6 +223,14 @@ _COMBINE_OPS: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 
+def _product(d1: Dfa, d2: Dfa) -> tuple[dict[tuple[int, int], int], list[tuple[int, ...]]]:
+    """`explore` over the state pairs of d1 and d2 reachable from their
+    initial pair, which is numbered 0."""
+    return explore(
+        [(d1.initial, d2.initial)], lambda pq: zip(d1.trans[pq[0]], d2.trans[pq[1]]), "product automaton"
+    )
+
+
 def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     """Product automaton on reachable state pairs; op is one of and/or/diff/xor."""
     if d1.alphabet != d2.alphabet:
@@ -226,9 +238,7 @@ def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     is_final = _COMBINE_OPS.get(op)
     if is_final is None:
         raise ValueError(f"unknown op {op!r}")
-    index, rows = explore(
-        [(d1.initial, d2.initial)], lambda pq: zip(d1.trans[pq[0]], d2.trans[pq[1]]), "product automaton"
-    )
+    index, rows = _product(d1, d2)
     finals = frozenset(i for (p, q), i in index.items() if is_final(p in d1.finals, q in d2.finals))
     return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
@@ -282,10 +292,16 @@ def is_empty_dfa(d: Dfa) -> tuple[bool, str | None]:
 
 
 def equivalent_dfa(d1: Dfa, d2: Dfa) -> tuple[bool, str | None]:
-    """Language equality; on failure the least word of the symmetric difference."""
+    """Language equality; on failure the least word of the symmetric difference.
+
+    One closure of the reachable state pairs (`_product`): the access
+    word of the first pair that is final on one side only, which is the
+    word that `is_empty_dfa` reads off the xor product (`boolean_combine`)."""
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError("equivalent_dfa requires identical alphabets")
-    return is_empty_dfa(boolean_combine(d1, d2, "xor"))
+    index, rows = _product(d1, d2)
+    first = next((i for (p, q), i in index.items() if (p in d1.finals) != (q in d2.finals)), None)
+    return (True, None) if first is None else (False, access_words(rows, d1.alphabet.letters)[first])
 
 
 def left_derivative(d: Dfa, a: str) -> Dfa:
@@ -393,7 +409,13 @@ def _certify(e: RatExpr, d: Dfa) -> None:
     breadth-first, so the first pair that disagrees is entered by the
     length-lex least word on which the languages differ, which the error
     names.
+
+    The follow masks take up to one bit per pair of positions, so an
+    expression of more than POSITION_CAP letter occurrences raises
+    StateLimitError before any mask is built.
     """
+    if letter_count(e) > POSITION_CAP:
+        raise StateLimitError(f"certificate positions exceeded {POSITION_CAP}")
     nullable, first, last, follow, of_letter = _positions(e, d.alphabet)
     start = -1
     moves: dict[int, tuple[int, ...]] = {start: tuple(first & m for m in of_letter)}
@@ -419,61 +441,113 @@ def _certify(e: RatExpr, d: Dfa) -> None:
 def _eliminate(d: Dfa) -> RatExpr:
     """Expression for L(d) by state elimination, in normal form.
 
-    Eliminates the state minimizing in-degree x out-degree, ties to the
-    lowest state number.
+    Each step eliminates the state of least weight, ties to the lowest
+    state number.  The weight is the number of letter occurrences
+    (`letter_count`) that eliminating the state adds to the edges
+    (Delgado & Morais, "Approximation to the smallest regular expression
+    for a given regular language", CIAA 2004).  With indeg and outdeg
+    counted without the self-loop, each in-edge is copied outdeg times,
+    each out-edge indeg times and the loop indeg x outdeg times, and the
+    originals go:
+
+        W(s) = Σ|in|·(outdeg - 1) + Σ|out|·(indeg - 1) + |loop|·(indeg·outdeg - 1)
+
+    An edge is held as its letter count and its normal summands, which
+    become one normal sum only when a state of the edge is eliminated.
+    The input is deterministic, so the summands of one edge stand for
+    paths that read disjoint nonempty languages: no summand comes twice,
+    and an edge's letter count is the sum of its summands'.  Each node
+    keeps the letter counts of its in-edges, its out-edges and its loop
+    summed, updated with the edges, so a weight costs O(1).
     """
     n = d.n_states
     na = len(d.alphabet.letters)
     init_node, final_node = -1, -2
-    edges: dict[tuple[int, int], RatExpr] = {}
-    # neighbours other than the node itself, kept in step with `edges`
-    ins: dict[int, set[int]] = {q: set() for q in range(n)}
-    outs: dict[int, set[int]] = {q: set() for q in range(n)}
-    ins[final_node], outs[init_node] = set(), set()
+    # (p, q) -> [letter count, summands] of the edge's term
+    edges: dict[tuple[int, int], list] = {}
+    # neighbours other than the node itself, kept in step with `edges`, and
+    # the letter counts of the edges from them, to them and of the loop
+    ins: dict[int, set[int]] = {q: set() for q in range(-2, n)}
+    outs: dict[int, set[int]] = {q: set() for q in range(-2, n)}
+    in_size = dict.fromkeys(ins, 0)
+    out_size = dict.fromkeys(ins, 0)
+    loop_size = dict.fromkeys(ins, 0)
 
-    def add_edge(p: int, q: int, e: RatExpr) -> None:
-        if e == ZERO:
-            return
-        cur = edges.get((p, q), ZERO)
-        edges[(p, q)] = normalize_b(rsum(cur, e))
-        if p != q:
+    def add_edge(p: int, q: int, size: int, summands: list[RatExpr]) -> None:
+        edge = edges.get((p, q))
+        if edge is None:
+            edges[(p, q)] = [size, summands[:]]
+        else:
+            edge[0] += size
+            edge[1] += summands
+        if p == q:
+            loop_size[p] += size
+        else:
             outs[p].add(q)
             ins[q].add(p)
+            out_size[p] += size
+            in_size[q] += size
 
+    def weight(s: int) -> int:
+        n_in, n_out = len(ins[s]), len(outs[s])
+        return in_size[s] * (n_out - 1) + out_size[s] * (n_in - 1) + loop_size[s] * (n_in * n_out - 1)
+
+    def term(summands: list[RatExpr]) -> RatExpr:
+        return summands[0] if len(summands) == 1 else _normal_sum(summands)
+
+    letters = [[Letter(a)] for a in d.alphabet.letters]
     for p in range(n):
         for ai in range(na):
-            add_edge(p, d.trans[p][ai], Letter(d.alphabet.letters[ai]))
-    add_edge(init_node, d.initial, ONE)
+            add_edge(p, d.trans[p][ai], 1, letters[ai])
+    add_edge(init_node, d.initial, 0, [ONE])
     for f in d.finals:
-        add_edge(f, final_node, ONE)
+        add_edge(f, final_node, 0, [ONE])
 
     remaining = set(range(n))
     while remaining:
-        s = min(remaining, key=lambda s: (len(ins[s]) * len(outs[s]), s))
+        s = min(remaining, key=lambda s: (weight(s), s))
         remaining.remove(s)
-        loop = edges.pop((s, s), ZERO)
-        star_loop = rstar(loop) if loop != ZERO else ONE
-        preds = [(p, edges.pop((p, s))) for p in ins.pop(s)]
-        succs = [(q, edges.pop((s, q))) for q in outs.pop(s)]
-        for p, _ in preds:
+        loop = edges.pop((s, s), None)
+        del loop_size[s]
+        preds = [(p, *edges.pop((p, s))) for p in ins.pop(s)]
+        succs = [(q, *edges.pop((s, q))) for q in outs.pop(s)]
+        for p, n_in, _ in preds:
             outs[p].discard(s)
-        for q, _ in succs:
+            out_size[p] -= n_in
+        for q, n_out, _ in succs:
             ins[q].discard(s)
-        for p, e_in in preds:
-            for q, e_out in succs:
-                add_edge(p, q, rcat(rcat(e_in, star_loop), e_out))
+            in_size[q] -= n_out
+        succs = [(q, n_out, out_summands, term(out_summands)) for q, n_out, out_summands in succs]
+        for p, n_head, head_summands in preds:
+            # e_in·loop*, shared by every successor; a sum only as e_in itself
+            head = term(head_summands)
+            if loop is not None:
+                head = rcat(head, rstar(term(loop[1])))
+                n_head += loop[0]
+                head_summands = [head]
+            # a normal term without letters on an edge is 1
+            for q, n_out, out_summands, t_out in succs:
+                if n_out == 0:
+                    add_edge(p, q, n_head, head_summands)
+                elif n_head == 0:
+                    add_edge(p, q, n_out, out_summands)
+                else:
+                    add_edge(p, q, n_head + n_out, [Concat(head, t_out)])
 
-    return normalize_b(edges.get((init_node, final_node), ZERO))
+    final = edges.get((init_node, final_node))
+    return ZERO if final is None else normalize_b(term(final[1]))
 
 
 def dfa_to_expr(d: Dfa) -> RatExpr:
     """Expression for L(d) by state elimination, self-certified.
 
-    Eliminates the states of the minimal DFA of d (`_eliminate`), so the
-    expression depends only on the language.  Before it is returned, it
-    is checked equivalent to d itself on its position automaton
-    (`_certify`); a wrong expression raises CertificationError naming the
-    least word on which the two differ.
+    Eliminates the states of the minimal DFA of d (`_eliminate`), least
+    added text first, so the expression depends only on the language.
+    Before it is returned, it is checked equivalent to d itself on its
+    position automaton (`_certify`); a wrong expression raises
+    CertificationError naming the least word on which the two differ, and
+    one of more than POSITION_CAP letter occurrences raises
+    StateLimitError.
     """
     result = _eliminate(minimize_dfa(d))
     _certify(result, d)

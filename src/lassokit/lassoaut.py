@@ -29,9 +29,18 @@ from .langops import (
     right_quotient,
     root,
 )
-from .lassoexp import Circle, LassoExpr, OmegaExpr, OmegaPower, TailedExpr, Terminal, prefixed_sum
+from .lassoexp import (
+    Circle,
+    LassoExpr,
+    OmegaExpr,
+    OmegaPower,
+    TailedExpr,
+    Terminal,
+    tprefix,
+    tsum_of,
+)
 from .lassos import Lasso
-from .ratexp import Alphabet, RatExpr, ewp
+from .ratexp import Alphabet, ewp
 
 
 @dataclass(frozen=True)
@@ -82,22 +91,21 @@ def _extract(
     m: LassoAutomaton, terminal: type[Terminal], loop_langs: Callable[[LassoAutomaton, int], list[Dfa]]
 ) -> TailedExpr:
     """Sum, over the spoke states x of a minimal automaton m (numbered in
-    access-word order by `minimize_lasso`) and the DFAs loop_langs(m, x)
-    of the nonempty loop languages at x, of the access language of x
-    prefixed onto terminal(loop language).  Each loop expression is
-    checked to reject the empty word, as a loop must."""
-    terms: list[tuple[RatExpr, RatExpr]] = []
+    access-word order by `minimize_lasso`) with nonempty loop languages
+    loop_langs(m, x), of the access language of x prefixed onto the sum of
+    terminal(loop language) over those languages: one spoke factor per
+    spoke state.  Each loop expression is checked to reject the empty
+    word, as a loop must."""
+    terms: list[TailedExpr] = []
     for x in range(m.n_spoke):
         r_dfas = loop_langs(m, x)
         if not r_dfas:
             continue
-        s_expr = dfa_to_expr(spoke_lang_dfa(m, x))
-        for r_dfa in r_dfas:
-            r_expr = dfa_to_expr(r_dfa)
-            if ewp(r_expr):
-                raise CertificationError("loop language contained the empty word")
-            terms.append((s_expr, r_expr))
-    return prefixed_sum(terminal, terms)
+        r_exprs = [dfa_to_expr(r_dfa) for r_dfa in r_dfas]
+        if any(map(ewp, r_exprs)):
+            raise CertificationError("loop language contained the empty word")
+        terms.append(tprefix(dfa_to_expr(spoke_lang_dfa(m, x)), tsum_of(terminal.zero, list(map(terminal, r_exprs)))))
+    return tsum_of(terminal.zero, terms)
 
 
 def _loop_lang(aut: LassoAutomaton, x: int) -> list[Dfa]:
@@ -147,12 +155,14 @@ def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
     The saturation check and the sum read one minimal automaton
     (`minimize_lasso`), so the text depends only on the language.  For
     each of its spoke states x and final loop states y the loop component
-    is the intersection of three DFAs: words returning x to x along the
-    spoke, words switching from x into y, and words returning y to y
-    along the loop (`_omega_loop_langs`, one product of the first two per
-    x).  Unlike `extract_expr` it keeps one term per pair (x, y): the
-    omega power of a union is not the union of the omega powers.  Raises
-    if the automaton is not saturated.
+    P_{x,y} is the intersection of three DFAs: words returning x to x
+    along the spoke, words switching from x into y, and words returning y
+    to y along the loop (`_omega_loop_langs`, one product of the first
+    two per x).  The sum is Σ_x S_x·(P_{x,y1}$ + P_{x,y2}$ + …), S_x the
+    access language of x, written once per x: a prefix distributes over
+    a sum.  Unlike `extract_expr` it keeps one omega power per pair
+    (x, y): the omega power of a union is not the union of the omega
+    powers.  Raises if the automaton is not saturated.
     """
     m = minimize_lasso(aut)
     sat, pair = is_saturated(m)

@@ -178,12 +178,12 @@ def tsum(l: TailedExpr, r: TailedExpr) -> TailedExpr:
     return l.sum(l, r)
 
 
-def prefixed_sum(terminal: type[Terminal], pairs: Sequence[tuple[RatExpr, RatExpr]]) -> TailedExpr:
-    """Right-nested sum of the terms t·terminal(s) over the (t, s) pairs, in
-    order, with unit/zero folding; 0 when there are no pairs."""
-    out = terminal.zero
-    for t, s in reversed(pairs):
-        out = tsum(tprefix(t, terminal(s)), out)
+def tsum_of(zero: TailedExpr, terms: Sequence[TailedExpr]) -> TailedExpr:
+    """Right-nested sum of the terms, in order, with zero folding; `zero`,
+    the zero of their kind, when there are none."""
+    out = zero
+    for t in reversed(terms):
+        out = tsum(t, out)
     return out
 
 
@@ -343,7 +343,7 @@ def df_member(df: DisjunctiveForm, l: Lasso) -> bool:
 
 
 def df_to_lexp(df: DisjunctiveForm) -> LassoExpr:
-    return prefixed_sum(Circle, df.pairs)
+    return tsum_of(LZERO, [tprefix(t, Circle(s)) for t, s in df.pairs])
 
 
 def flatten(

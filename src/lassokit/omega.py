@@ -346,11 +346,13 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
     Each spoke carries the live states (`_live_states`) of the Buchi
     automaton that it reaches, and the spoke is live iff that set is
     nonempty.  The set of u is one `_step` from the set of u less its
-    last letter, which is computed first if it was not asked for before;
-    asked shortest first, as `enumerate_lassos` asks its spoke test, each
-    spoke costs at most one step.  A dead state steps only to dead states,
-    so every extension of a dead spoke is dead too, without a step.
-    Oracle machinery, like `up_member`: nothing of the pipeline is used.
+    last letter when that was asked for before; asked shortest first, as
+    `enumerate_lassos` asks its spoke test, each spoke costs one step.
+    Otherwise the set is walked forward from the empty spoke, one letter
+    at a time and without recursion, and only u's own set is kept.  A
+    dead state steps only to dead states, so every extension of a dead
+    spoke is dead too, without a step.  Oracle machinery, like
+    `up_member`: nothing of the pipeline is used.
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     live = _live_states(nba)
@@ -359,9 +361,15 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
 
     def states(u: str) -> frozenset[int]:
         if u not in reached:
-            before = states(u[:-1])
-            nxt = live.intersection(_step(nba, before, u[-1])) if before else before
-            reached[u] = shared.setdefault(nxt, nxt)
+            before = reached.get(u[:-1])
+            rest = u[-1:]
+            if before is None:
+                before, rest = reached[""], u
+            for a in rest:
+                if not before:
+                    break
+                before = live.intersection(_step(nba, before, a))
+            reached[u] = shared.setdefault(before, before)
         return reached[u]
 
     return lambda u: bool(states(u))

@@ -7,12 +7,13 @@ derivative-free membership oracle used to cross-check everything built
 on top of `deriv`.  `enumerate_language` lists a language up to a length
 without it, bottom-up over the term, and is cross-checked against it.
 
-Each term caches four values derived from its fields the first time
+Each term caches five values derived from its fields the first time
 they are asked for: its hash, its `normalize_b` normal form, its
-`structural_key` and its empty word property (`ewp`).  The invariants:
+`structural_key`, its empty word property (`ewp`) and its number of
+letter occurrences (`letter_count`).  The invariants:
 
 - cached values are derived from the fields alone, so a term and a fresh
-  copy built from the same fields agree on all four;
+  copy built from the same fields agree on all five;
 - they are never compared, printed or pickled: `==` and `repr` see only
   the fields, and pickle, `copy` and `deepcopy` rebuild a term from its
   fields (a hash mixes in per-process `str` hashes and must not travel);
@@ -97,7 +98,7 @@ class RatExpr:
     """Base class for rational expression terms."""
 
     # derived values cached after first use; see the module docstring
-    __slots__ = ("_hash", "_nf", "_key", "_ewp")
+    __slots__ = ("_hash", "_nf", "_key", "_ewp", "_size")
 
     def __str__(self) -> str:
         return rexp_to_str(self)
@@ -251,6 +252,28 @@ def ewp(t: RatExpr) -> bool:
             raise TypeError(f"not a rational expression: {t!r}")
     object.__setattr__(t, "_ewp", e)
     return e
+
+
+def letter_count(t: RatExpr) -> int:
+    """Number of letter occurrences of t, counted on its tree (a subterm
+    shared twice counts twice): the positions of its position automaton.
+    Cached on the term, so a term built from counted children costs O(1)."""
+    n = getattr(t, "_size", None)  # most calls are misses, on fresh terms
+    if n is not None:
+        return n
+    match t:
+        case Zero() | One():
+            n = 0
+        case Letter(_):
+            n = 1
+        case Star(x):
+            n = letter_count(x)
+        case Concat(l, r) | Sum(l, r):
+            n = letter_count(l) + letter_count(r)
+        case _:
+            raise TypeError(f"not a rational expression: {t!r}")
+    object.__setattr__(t, "_size", n)
+    return n
 
 
 def _flatten_sum(t: RatExpr, acc: list[RatExpr]) -> None:

@@ -124,6 +124,14 @@ def certify_oracle(e: RatExpr, d: Dfa) -> tuple[bool, str | None]:
     return equivalent_dfa(compile_dfa(e, d.alphabet), d)
 
 
+def equivalent_dfa_oracle(d1: Dfa, d2: Dfa) -> tuple[bool, str | None]:
+    """`langops.equivalent_dfa` as two closures: the xor product
+    (`boolean_combine`), then its emptiness check (`is_empty_dfa`), which
+    numbers the product's states again.  The library reads the same word
+    off the product's own numbering."""
+    return is_empty_dfa(boolean_combine(d1, d2, "xor"))
+
+
 def gamma_map_oracle(df: DisjunctiveForm, alphabet: Alphabet) -> DisjunctiveForm:
     """γ one triple at a time: for each split (t0, t1) of t and (s0, s1)
     of s, the loop expression of root(minimal DFA of (t1 ∩ s1)·s0), with

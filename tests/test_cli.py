@@ -293,6 +293,18 @@ class TestErrors:
         assert out == ""
         assert err == "internal error: self-check failed\n"
 
+    def test_certificate_position_cap_is_exit_2(self, capsys, monkeypatch):
+        from lassokit import langops
+
+        # fig1's expressions are checked within the real cap; a cap below
+        # their positions stops extraction before any follow mask is built
+        assert run(capsys, "extract", FIG1)[0] == 0
+        monkeypatch.setattr(langops, "POSITION_CAP", 1)
+        code, out, err = run(capsys, "extract", FIG1)
+        assert code == 2
+        assert out == ""
+        assert err == "error: certificate positions exceeded 1\n"
+
     def test_extract_self_check_is_exit_3(self, capsys, monkeypatch):
         from lassokit import Alphabet, compile_dfa, lassoaut
         from lassokit.syntax import parse_rexp

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import certify_oracle, minimize_dfa_oracle, random_lauto, random_rexp
+from helpers import certify_oracle, equivalent_dfa_oracle, minimize_dfa_oracle, random_lauto, random_rexp
 from lassokit import langops
 from lassokit import (
     Alphabet,
@@ -42,7 +42,7 @@ from lassokit import (
 )
 from lassokit.langops import Dfa, class_dfa, explore, quotient
 from lassokit.lassoaut import LassoAutomaton, loop_dfa
-from lassokit.ratexp import rcat, words_up_to
+from lassokit.ratexp import letter_count, rcat, rexp_to_str, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -183,6 +183,26 @@ class TestWitnessesAgainstBruteForce:
         for d1, d2 in zip(dfas[::2], dfas[1::2]):
             w = first_word(d1, d1.n_states + d2.n_states, lambda w: run_dfa(d1, w) != run_dfa(d2, w))
             assert equivalent_dfa(d1, d2) == (w is None, w)
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equivalent_dfa_equals_xor_product_oracle(self, data):
+        # the verdict and the witness of one product closure are those of
+        # the xor product and its emptiness check; unreachable states,
+        # equal and complementary automata are all drawn
+        letters = "abc"[: data.draw(st.integers(1, 3))]
+        alphabet = Alphabet(tuple(letters))
+
+        def dfa() -> Dfa:
+            n = data.draw(st.integers(1, 7))
+            state = st.integers(0, n - 1)
+            trans = data.draw(st.lists(st.tuples(*[state] * len(letters)), min_size=n, max_size=n))
+            return Dfa(alphabet, tuple(trans), data.draw(state), data.draw(st.frozensets(state)))
+
+        d1 = dfa()
+        d2 = data.draw(st.sampled_from([dfa(), d1, complement(d1), minimize_dfa(d1)]))
+        assert equivalent_dfa(d1, d2) == equivalent_dfa_oracle(d1, d2)
 
 
 class TestQuotients:
@@ -359,6 +379,40 @@ class TestToExpr:
     def test_output_normalized(self):
         e = dfa_to_expr(compile_dfa(parse_rexp("a+a"), AB))
         assert normalize_b(e) == e
+
+    def test_least_weight_is_eliminated_first(self):
+        # 0 -a-> 1, 0 -b-> 0, 1 -a-> 1, 1 -b-> 2, 2 -a-> 1, 2 -b-> 0, from 0
+        # into the final 0.  In-degree x out-degree is 4, 2, 2 and picks
+        # state 1 (giving (b+(((aa*)b)((aa*)b)*)b)*); the weights
+        # Σ|in|·(out-1) + Σ|out|·(in-1) + |loop|·(in·out-1) are 5, 2 and 1
+        # and pick state 2, whose one in-edge is copied once and whose
+        # out-edges are not copied at all
+        d = Dfa(AB, ((1, 0), (1, 2), (1, 0)), 0, frozenset({0}))
+        assert minimize_dfa(d) == d
+        assert rexp_to_str(dfa_to_expr(d)) == "(b+(a(a+ba)*)bb)*"
+
+    def test_sizes_kept_beside_edges_match_the_term(self):
+        # the elimination's own letter counts order it; the term it returns
+        # has as many letter occurrences as its printed text has letters
+        rng = random.Random(43)
+        for _ in range(60):
+            e = dfa_to_expr(compile_dfa(random_rexp(rng, "ab", 4), AB))
+            assert letter_count(e) == sum(c.isalpha() for c in rexp_to_str(e))
+
+
+class TestPositionCap:
+    def test_cap_is_on_positions(self, monkeypatch):
+        # `aba` has 3 positions and passes a cap of 3; `abab` has 4
+        monkeypatch.setattr(langops, "POSITION_CAP", 3)
+        assert rexp_to_str(dfa_to_expr(compile_dfa(parse_rexp("aba"), AB))) == "(ab)a"
+        with pytest.raises(StateLimitError, match="^certificate positions exceeded 3$"):
+            dfa_to_expr(compile_dfa(parse_rexp("abab"), AB))
+
+    def test_raised_before_any_mask(self, monkeypatch):
+        monkeypatch.setattr(langops, "POSITION_CAP", 3)
+        monkeypatch.setattr(langops, "_positions", lambda e, alphabet: pytest.fail("masks built"))
+        with pytest.raises(StateLimitError):
+            langops._certify(parse_rexp("abab"), compile_dfa(parse_rexp("abab"), AB))
 
 
 class TestRun:

@@ -1,12 +1,14 @@
 import dataclasses
 import functools
+import json
+import pathlib
 import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import is_saturated_oracle, random_lauto, spoke_access_words
+from helpers import is_saturated_oracle, random_lauto, random_rexp, random_rexp_no_ewp, spoke_access_words
 from lassokit import lassoaut
 from lassokit import (
     Alphabet,
@@ -42,11 +44,12 @@ from lassokit import (
 from lassokit.langops import Dfa, explore
 from lassokit.lassoexp import LSum, LZERO, Prefix
 from lassokit.lassos import up_equal
-from lassokit.omega import OZERO, omega_to_omega_automaton
+from lassokit.omega import OPrefix, OSum, OZERO, OmegaPower, oexp_to_str, omega_to_omega_automaton
 from lassokit.ratexp import ONE, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
+PIPELINE = json.loads((pathlib.Path(__file__).parent / "data" / "pipeline_automata.json").read_text())
 
 
 class TestAccepts:
@@ -229,6 +232,67 @@ class TestExtractOmega:
     def test_unsaturated_rejected(self, fig1):
         with pytest.raises(ValueError, match="not saturated"):
             extract_omega_expr(fig1)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_one_spoke_factor_per_spoke_state(self, seed, pipeline):
+        # random lasso automata, and pipeline outputs of t·(r1$ + r2$), about
+        # one in eight of which has a spoke state with two omega-power bodies
+        rng = random.Random(seed)
+        if pipeline:
+            body = lambda: OmegaPower(random_rexp_no_ewp(rng, "ab", 2))
+            aut = omega_to_omega_automaton(OPrefix(random_rexp(rng, "ab", 2), OSum(body(), body())), AB)
+        else:
+            aut = random_lauto(rng, rng.randint(1, 4), rng.randint(1, 6))
+            assume(is_saturated(aut)[0])
+        one_spoke_factor_per_spoke_state(aut)
+
+    @pytest.mark.parametrize("text", sorted(PIPELINE))
+    def test_one_spoke_factor_on_pinned_pipeline_automata(self, text):
+        one_spoke_factor_per_spoke_state(read_automaton(PIPELINE[text]))
+
+    def test_two_bodies_share_one_spoke_factor(self):
+        # the pinned automaton of a(b+ab)$+b(a+bb)$ has spoke states with
+        # two omega-power bodies each, and writes each spoke factor once
+        m = read_automaton(PIPELINE["a(b+ab)$+b(a+bb)$"])
+        assert [len(lassoaut._omega_loop_langs(m, x)) for x in range(m.n_spoke)] == [0, 2, 2, 1, 2, 0]
+        expr, factors = extract_omega_expr(m), 1
+        while isinstance(expr, OSum):
+            expr, factors = expr.right, factors + 1
+        assert factors == 4 and oexp_to_str(extract_omega_expr(m)).count("$") == 7
+
+
+def one_spoke_factor_per_spoke_state(aut: LassoAutomaton) -> None:
+    """Σ_x S_x·(P_{x,y1}$ + P_{x,y2}$ + …) over the spoke states x of the
+    minimal automaton with nonempty omega-power bodies, in state order:
+    each S_x written once, each body once, and only S_0 may be {ε}.  The
+    text parses back to the same tree and agrees with the automaton on
+    the (4, 4) box."""
+    m = minimize_lasso(aut)
+    expr = rest = extract_omega_expr(aut)
+    bodies = {x: lassoaut._omega_loop_langs(m, x) for x in range(m.n_spoke)}
+    live = [x for x in range(m.n_spoke) if bodies[x]]
+    terms = []
+    while len(terms) < len(live) - 1:
+        terms.append(rest.left)
+        rest = rest.right
+    terms.append(rest)
+    if not live:
+        assert expr == OZERO
+    for term, x in zip(terms, live):
+        head, powers = (term.head, term.tail) if isinstance(term, OPrefix) else (ONE, term)
+        assert x == 0 or head != ONE, (aut, x)
+        assert equivalent_dfa(compile_dfa(head, m.alphabet), spoke_lang_dfa(m, x))[0], (aut, x)
+        loops = []
+        while isinstance(powers, OSum):
+            loops.append(powers.left)
+            powers = powers.right
+        loops.append(powers)
+        assert all(isinstance(power, OmegaPower) for power in loops), (aut, x)
+        assert [minimize_dfa(compile_dfa(power.body, m.alphabet)) for power in loops] == list(map(minimize_dfa, bodies[x]))
+    assert parse_oexpr(oexp_to_str(expr), m.alphabet) == expr
+    for l in enumerate_lassos(m.alphabet, 4, 4):
+        assert up_member(expr, l, m.alphabet) == accepts(aut, l), (aut, l)
 
 
 class TestEquivalentLasso:

@@ -288,6 +288,33 @@ class TestLiveSpokeWalk:
         answers = [backward(u) for u in reversed(spokes)][::-1]
         assert [forward(u) for u in spokes] == answers
 
+    def test_long_spoke_asked_first(self):
+        # its prefixes were never asked: the walk steps forward over them
+        # without recursion, beyond the default recursion limit, and gives
+        # the answers of the prefixes asked in order
+        T = parse_oexpr("(a+b)*(aab+bba)$")
+        for u in ("aab" * 2000, "b" + "a" * 5000):
+            first, in_order = live_spoke_walk(T, AB), live_spoke_walk(T, AB)
+            answers = [in_order(u[:i]) for i in range(len(u) + 1)]
+            assert first(u) == answers[-1]
+            assert [first(u[:i]) for i in (0, 1, 2, 3, 2999, len(u) - 1)] == [
+                answers[i] for i in (0, 1, 2, 3, 2999, len(u) - 1)
+            ]
+        dead = live_spoke_walk(parse_oexpr("a$"), AB)
+        assert not dead("a" * 3000 + "b" + "a" * 3000) and dead("a" * 6000)
+
+    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_any_order_of_questions(self, seed, letters, depth, rng):
+        T = random_oexp(random.Random(seed), letters, depth)
+        alphabet = Alphabet(tuple(letters))
+        spokes = list(words_up_to(alphabet, 4))
+        shuffled = spokes[:]
+        rng.shuffle(shuffled)
+        forward, any_order = live_spoke_walk(T, alphabet), live_spoke_walk(T, alphabet)
+        answers = {u: any_order(u) for u in shuffled}
+        assert [forward(u) for u in spokes] == [answers[u] for u in spokes], oexp_to_str(T)
+
     def test_dead_spoke_extends_without_a_step(self, monkeypatch):
         steps = []
         step = omega._step

@@ -25,7 +25,7 @@ from lassokit import (
     split,
     word_deriv,
 )
-from lassokit.ratexp import One, RatExpr, Zero, structural_key, words_up_to
+from lassokit.ratexp import One, RatExpr, Zero, letter_count, structural_key, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -424,11 +424,25 @@ class TestTermCaches:
 
     @given(terms)
     @settings(max_examples=150, deadline=None)
+    def test_cached_letter_count_matches_fresh_copies(self, t):
+        # the letters of the printed text, a shared subterm counted each time
+        count = letter_count(t)
+        assert count == sum(c.isalpha() for c in rexp_to_str(t))
+        assert letter_count(t) == count
+        for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert not hasattr(clone, "_size")
+            assert letter_count(clone) == count
+        assert letter_count(fresh(t)) == count
+        assert letter_count(Concat(t, t)) == letter_count(Sum(t, Star(t))) == 2 * count
+
+    @given(terms)
+    @settings(max_examples=150, deadline=None)
     def test_pickle_and_deepcopy_carry_no_cached_values(self, t):
         before = pickle.dumps(t)
         normalize_b(t)
         structural_key(t)
         ewp(t)
+        letter_count(t)
         table = {t: "entry"}
         assert pickle.dumps(t) == before
         for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
