@@ -165,7 +165,7 @@ def extract_omega_expr(aut: LassoAutomaton) -> OmegaExpr:
     powers.  Raises if the automaton is not saturated.
     """
     m = minimize_lasso(aut)
-    sat, pair = is_saturated(m)
+    sat, pair = _saturation_scan(m)
     if not sat:
         raise ValueError(
             f"automaton is not saturated (e.g. {pair[0]} accepted but {pair[1]} rejected); "
@@ -335,7 +335,11 @@ def is_saturated(aut: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]
     built only when it holds everywhere, which includes every saturated
     automaton.
     """
-    m = minimize_lasso(aut)
+    return _saturation_scan(minimize_lasso(aut))
+
+
+def _saturation_scan(m: LassoAutomaton) -> tuple[bool, tuple[Lasso, Lasso] | None]:
+    """`is_saturated` on `m`, a minimal automaton from `minimize_lasso`."""
     access = access_words(m.d1, m.alphabet.letters)
     rotations = [_rotation_pairs(m, x, u) for x, u in enumerate(access)]
     best_rotation = min((_pair_size(p) for pairs in rotations for p in pairs), default=None)

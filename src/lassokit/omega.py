@@ -19,24 +19,24 @@ no state labels.  Saturation is a property of the accepted lassos
 omega-languages", MFPS 1993), so that automaton is saturated too.
 
 The oracle (`to_nba`/`up_member`) goes through a nondeterministic Buchi
-automaton, kept as one successor table (`Nba.rows`), and shares nothing
-with the lasso machinery, so pipeline bugs cannot cancel out in the
-tests.  `up_member` meets two sets of states.  One is the set the spoke
-leads to (`_spoke_states`), from one subset walk on bit masks.  The
-other is the set from which the loop's omega power is accepted
+automaton, kept as one successor table of int bit masks (`Nba.rows`, one
+mask per letter and state), and shares nothing with the lasso machinery,
+so pipeline bugs cannot cancel out in the tests.  Sets of states are bit
+masks throughout.  `up_member` meets two sets of states.  One is the set
+the spoke leads to (`_spoke_states`), from one subset walk on the table.
+The other is the set from which the loop's omega power is accepted
 (`_loop_accepting`).  It is read off the loop's transition profile
 (`_profile`): for each state, which states the loop leads it to, and
 which of them on a path through an accepting state (Sistla, Vardi &
 Wolper, TCS 1987).  One transitive closure of the profile answers every
 state at once (`_omega_accepting`).  Every lasso with the same spoke or
-the same loop shares that half.  Sets of states are int bit masks
-here.  The per-letter successor masks of each automaton and both halves
-are kept in `lru_cache`s of `LOOP_CACHE_SIZE` entries each; `to_nba` is
-unbounded.  The live states, from which some omega word is accepted,
-are the nodes that reach an accepting node lying on a cycle; `_live`
-finds them on the automaton's edges over all letters (`_live_states`)
-in one linear strongly-connected-components pass (Tarjan, "Depth-first
-search and linear graph algorithms", 1972).
+the same loop shares that half.  Both halves are kept in `lru_cache`s of
+`LOOP_CACHE_SIZE` entries each, keyed by automaton and word; `to_nba` is
+unbounded.  The live states, from which some omega word is accepted, are
+the nodes that reach an accepting node lying on a cycle; `_live` finds
+them on the automaton's edges over all letters (`_live_states`) in one
+linear strongly-connected-components pass (Tarjan, "Depth-first search
+and linear graph algorithms", 1972).
 On them `live_spoke_walk` tests spokes alone, so that enumeration
 decides a lasso only when some omega word can follow its spoke (the
 live-state pruning of Ackerman & Shallit, "Efficient enumeration of
@@ -46,8 +46,9 @@ words in regular languages", 2009).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .errors import CertificationError
@@ -86,19 +87,23 @@ def _oexp_alphabet(T: OmegaExpr, alphabet: Alphabet | None) -> Alphabet:
 
 @dataclass(frozen=True, eq=False)
 class Nba:
-    """Nondeterministic Buchi automaton; oracle machinery only.  `rows[q][i]`
-    holds q's successors on the i-th letter of the alphabet.  Compared by
-    identity: `to_nba` returns one object per expression and alphabet."""
+    """Nondeterministic Buchi automaton on int bit masks; oracle machinery
+    only.  `rows[i][q]` is the mask of q's successors on the i-th letter
+    of the alphabet, so the states are numbered 0 .. len(rows[0]) - 1.
+    `initials` and `accepting` are masks of states.  Compared by identity:
+    `to_nba` returns one object per expression and alphabet."""
 
     alphabet: Alphabet
-    rows: tuple[tuple[frozenset[int], ...], ...]
-    initials: frozenset[int]
-    accepting: frozenset[int]
+    rows: tuple[tuple[int, ...], ...]
+    initials: int
+    accepting: int
 
 
-def _shifted(rows: tuple[tuple[frozenset[int], ...], ...], off: int) -> tuple[tuple[frozenset[int], ...], ...]:
-    """The rows with every state number raised by `off`."""
-    return tuple(tuple(frozenset(q + off for q in cell) for cell in row) for row in rows)
+def _joined(left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Two successor tables side by side, letter by letter, the states of
+    `right` numbered after those of `left`."""
+    off = len(left[0])
+    return tuple(l + tuple(m << off for m in r) for l, r in zip(left, right))
 
 
 @lru_cache(maxsize=None)
@@ -115,32 +120,26 @@ def to_nba(T: OmegaExpr, alphabet: Alphabet | None = None) -> Nba:
     alphabet = _oexp_alphabet(T, alphabet)
     match T:
         case OZero():
-            return Nba(alphabet, (), frozenset(), frozenset())
+            return Nba(alphabet, ((),) * len(alphabet), 0, 0)
         case OmegaPower(r):
             # state 0 is the fresh start, DFA state q becomes q + 1
             d = compile_dfa(r, alphabet)
-            edge = lambda q: frozenset({q + 1, 0} if q in d.finals else {q + 1})
-            rows = tuple(tuple(map(edge, d.trans[q])) for q in (d.initial, *range(d.n_states)))
-            return Nba(alphabet, rows, frozenset({0}), frozenset({0}))
+            edge = lambda q: 1 << (q + 1) | (1 if q in d.finals else 0)
+            columns = zip(d.trans[d.initial], *d.trans)
+            return Nba(alphabet, tuple(tuple(map(edge, col)) for col in columns), 1, 1)
         case OPrefix(t, tail):
             d = compile_dfa(t, alphabet)
             inner = to_nba(tail, alphabet)
-            off = d.n_states
-            enter = frozenset(s + off for s in inner.initials)
-            edge = lambda q: enter | {q} if q in d.finals else frozenset({q})
-            rows = tuple(tuple(map(edge, row)) for row in d.trans) + _shifted(inner.rows, off)
-            initials = frozenset({d.initial}) | (enter if ewp(t) else frozenset())
-            return Nba(alphabet, rows, initials, frozenset(s + off for s in inner.accepting))
+            enter = inner.initials << d.n_states
+            edge = lambda q: 1 << q | (enter if q in d.finals else 0)
+            rows = _joined(tuple(tuple(map(edge, col)) for col in zip(*d.trans)), inner.rows)
+            initials = 1 << d.initial | (enter if ewp(t) else 0)
+            return Nba(alphabet, rows, initials, inner.accepting << d.n_states)
         case OSum(l, r):
-            n1 = to_nba(l, alphabet)
-            n2 = to_nba(r, alphabet)
-            off = len(n1.rows)
-            return Nba(
-                alphabet,
-                n1.rows + _shifted(n2.rows, off),
-                n1.initials | frozenset(s + off for s in n2.initials),
-                n1.accepting | frozenset(s + off for s in n2.accepting),
-            )
+            n1, n2 = to_nba(l, alphabet), to_nba(r, alphabet)
+            off = len(n1.rows[0])
+            rows = _joined(n1.rows, n2.rows)
+            return Nba(alphabet, rows, n1.initials | n2.initials << off, n1.accepting | n2.accepting << off)
     raise TypeError(f"not an omega expression: {T!r}")
 
 
@@ -198,22 +197,8 @@ def _live(
     return good
 
 
-# entries of each of the oracle's caches, keyed by NBA or (NBA, word)
+# entries of each of the oracle's two word caches, keyed by (NBA, word)
 LOOP_CACHE_SIZE = 1024
-
-
-def _mask(states: Iterable[int]) -> int:
-    """The int bit mask of a set of states."""
-    return sum(1 << q for q in states)
-
-
-@lru_cache(maxsize=LOOP_CACHE_SIZE)
-def _bit_rows(nba: Nba) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The NBA on bit masks, built once per automaton: `rows[i][q]` holds
-    q's successors on the i-th letter; the second field holds the
-    accepting states."""
-    rows = tuple(tuple(_mask(row[i]) for row in nba.rows) for i in range(len(nba.alphabet)))
-    return rows, _mask(nba.accepting)
 
 
 def _image(row: tuple[int, ...], states: int) -> int:
@@ -236,7 +221,7 @@ def _profile(nba: Nba, word: str) -> Profile:
     those it leads p to on a path that visits an accepting state after
     at least one letter.  Folded one letter at a time, without recursion,
     from the empty word's profile."""
-    n = len(nba.rows)
+    n = len(nba.rows[0])
     profile = tuple(1 << p for p in range(n)), (0,) * n
     for a in word:
         profile = _extend(nba, profile, a)
@@ -247,10 +232,9 @@ def _extend(nba: Nba, profile: Profile, a: str) -> Profile:
     """The profile of wa from the profile (reach, through) of w: letter a
     maps reach to δ_a(reach), and through to δ_a(through) | (δ_a(reach) &
     accepting)."""
-    rows, accepting = _bit_rows(nba)
-    row = rows[nba.alphabet.index(a)]
+    row = nba.rows[nba.alphabet.index(a)]
     reach = tuple([_image(row, r) for r in profile[0]])
-    return reach, tuple([_image(row, t) | (r & accepting) for r, t in zip(reach, profile[1])])
+    return reach, tuple([_image(row, t) | (r & nba.accepting) for r, t in zip(reach, profile[1])])
 
 
 def _omega_accepting(profile: Profile) -> int:
@@ -298,19 +282,12 @@ def _spoke_states(nba: Nba, spoke: str) -> int:
     """The states of the NBA that the spoke leads to from its initial
     states, as a bit mask, one subset step per letter; empty once no run
     survives."""
-    rows, _ = _bit_rows(nba)
-    cur = _mask(nba.initials)
+    cur = nba.initials
     for a in spoke:
-        cur = _image(rows[nba.alphabet.index(a)], cur)
+        cur = _image(nba.rows[nba.alphabet.index(a)], cur)
         if not cur:
             break
     return cur
-
-
-def _step(nba: Nba, states: Iterable[int], a: str) -> set[int]:
-    """The states one `a` edge away from `states`."""
-    i = nba.alphabet.index(a)
-    return {q for p in states for q in nba.rows[p][i]}
 
 
 def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
@@ -330,12 +307,14 @@ def up_member(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
     return cur != 0 and _loop_accepting(nba, l.loop) & cur != 0
 
 
-def _live_states(nba: Nba) -> frozenset[int]:
-    """The states from which the NBA accepts some omega word: `_live` on
-    the graph of its edges over all letters.  The set is closed under
-    predecessors."""
-    graph = [set().union(*row) for row in nba.rows]
-    return frozenset(_live(range(len(graph)), graph.__getitem__, nba.accepting.__contains__))
+def _live_states(nba: Nba) -> int:
+    """The states from which the NBA accepts some omega word, as a bit
+    mask: `_live` on the graph of its edges over all letters.  The set is
+    closed under predecessors."""
+    n = len(nba.rows[0])
+    edges = [reduce(or_, col) for col in zip(*nba.rows)]
+    successors = lambda q: [p for p in range(n) if edges[q] >> p & 1]
+    return sum(1 << q for q in _live(range(n), successors, lambda q: nba.accepting >> q & 1))
 
 
 def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[[str], bool]:
@@ -343,10 +322,11 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
     language of T?  That holds iff some lasso whose spoke extends u is
     accepted, so a spoke it rejects needs no loop tried.
 
-    Each spoke carries the live states (`_live_states`) of the Buchi
-    automaton that it reaches, and the spoke is live iff that set is
-    nonempty.  The set of u is one `_step` from the set of u less its
-    last letter when that was asked for before; asked shortest first, as
+    Each spoke carries the bit mask of the live states (`_live_states`)
+    of the Buchi automaton that it reaches, and the spoke is live iff
+    that mask is nonzero.  The mask of u is one step (`_image` on the
+    letter's row) from the mask of u less its last letter when that was
+    asked for before; asked shortest first, as
     `enumerate_lassos` asks its spoke test, each spoke costs one step.
     Otherwise the set is walked forward from the empty spoke, one letter
     at a time and without recursion, and only u's own set is kept.  A
@@ -356,10 +336,9 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     live = _live_states(nba)
-    reached = {"": live & nba.initials}  # spoke -> its live states
-    shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct set
+    reached = {"": live & nba.initials}  # spoke -> the bit mask of its live states
 
-    def states(u: str) -> frozenset[int]:
+    def states(u: str) -> int:
         if u not in reached:
             before = reached.get(u[:-1])
             rest = u[-1:]
@@ -368,8 +347,8 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
             for a in rest:
                 if not before:
                     break
-                before = live.intersection(_step(nba, before, a))
-            reached[u] = shared.setdefault(before, before)
+                before = live & _image(nba.rows[nba.alphabet.index(a)], before)
+            reached[u] = before
         return reached[u]
 
     return lambda u: bool(states(u))

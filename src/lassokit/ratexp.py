@@ -405,9 +405,22 @@ def _member(t: RatExpr, u: str) -> bool:
         case Concat(l, r):
             return any(_member(l, u[:i]) and _member(r, u[i:]) for i in range(len(u) + 1))
         case Star(x):
-            if u == "":
-                return True
-            return any(_member(x, u[:i]) and _member(t, u[i:]) for i in range(1, len(u) + 1))
+            # depth first over the ends of nonempty factors in x, on a stack
+            # of (position, next ends to try): recursion follows the term,
+            # not the word, and a position is entered at most once
+            n = len(u)
+            seen = {0}
+            path = [(0, iter(range(1, n + 1)))]
+            while path and path[-1][0] != n:
+                i, ends = path[-1]
+                for j in ends:
+                    if j not in seen and _member(x, u[i:j]):
+                        seen.add(j)
+                        path.append((j, iter(range(j + 1, n + 1))))
+                        break
+                else:
+                    path.pop()
+            return bool(path)
     raise TypeError(f"not a rational expression: {t!r}")
 
 
@@ -416,6 +429,8 @@ def member_naive(t: RatExpr, u: str) -> bool:
 
     No derivatives involved; this is the independent oracle.  Memoized on
     (subterm, substring), so repeated queries over a word corpus are cheap.
+    A star searches the factorizations of the word on an explicit stack,
+    so the recursion depth follows the term, never the word's length.
     """
     return _member(t, u)
 

@@ -177,6 +177,11 @@ def gamma_map_oracle(df: DisjunctiveForm, alphabet: Alphabet) -> DisjunctiveForm
     return DisjunctiveForm(tuple(pairs))
 
 
+def mask_states(mask: int) -> frozenset[int]:
+    """The states of an `Nba` bit mask."""
+    return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
 def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -> bool:
     """Büchi membership on the product of the automaton with the lasso's
     positions: accept iff some accepting product node reachable after the
@@ -187,11 +192,12 @@ def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -
     transition profile once per loop word; the two must answer alike.
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
-    succ: dict[tuple[int, str], set[int]] = {}
-    for p, row in enumerate(nba.rows):
-        for a, targets in zip(nba.alphabet.letters, row):
-            succ[p, a] = set(targets)
-    cur = set(nba.initials)
+    succ: dict[tuple[int, str], frozenset[int]] = {}
+    for a, row in zip(nba.alphabet.letters, nba.rows):
+        for p, targets in enumerate(row):
+            succ[p, a] = mask_states(targets)
+    accepting = mask_states(nba.accepting)
+    cur = set(mask_states(nba.initials))
     for a in l.spoke:
         cur = {q for p in cur for q in succ.get((p, a), ())}
         if not cur:
@@ -212,7 +218,7 @@ def up_member_oracle(T: OmegaExpr, l: Lasso, alphabet: Alphabet | None = None) -
                 seen.add(nxt)
                 queue.append(nxt)
     for node in seen:
-        if node[0] not in nba.accepting:
+        if node[0] not in accepting:
             continue
         # is this accepting node on a (nonempty) cycle?
         visited: set[tuple[int, int]] = set()
@@ -237,15 +243,17 @@ def loop_accepting_oracle(nba: Nba, loop: str) -> frozenset[int]:
     profile, as a bit mask; the two must hold the same states.
     """
     m = len(loop)
-    columns = [nba.alphabet.index(a) for a in loop]
+    n = len(nba.rows[0])
+    rows = [nba.rows[nba.alphabet.index(a)] for a in loop]
+    accepting = mask_states(nba.accepting)
 
     def successors(v: int) -> list[int]:
         q, j = divmod(v, m)
         nxt = (j + 1) % m
-        return [p * m + nxt for p in nba.rows[q][columns[j]]]
+        return [p * m + nxt for p in mask_states(rows[j][q])]
 
-    good = _live(range(0, len(nba.rows) * m, m), successors, lambda v: v // m in nba.accepting)
-    return frozenset(q for q in range(len(nba.rows)) if q * m in good)
+    good = _live(range(0, n * m, m), successors, lambda v: v // m in accepting)
+    return frozenset(q for q in range(n) if q * m in good)
 
 
 def live_states_oracle(nba: Nba) -> frozenset[int]:
@@ -257,12 +265,13 @@ def live_states_oracle(nba: Nba) -> frozenset[int]:
     `omega._live_states` instead finds them in one component pass; the two
     must answer alike.
     """
-    succ = [set().union(*row) for row in nba.rows]
-    pred: list[set[int]] = [set() for _ in nba.rows]
+    succ = [frozenset().union(*map(mask_states, col)) for col in zip(*nba.rows)]
+    pred: list[set[int]] = [set() for _ in succ]
     for p, targets in enumerate(succ):
         for q in targets:
             pred[q].add(p)
-    on_cycle = [f for f in sorted(nba.accepting) if f in explore(succ[f], succ.__getitem__, "Buchi automaton")[0]]
+    accepting = sorted(mask_states(nba.accepting))
+    on_cycle = [f for f in accepting if f in explore(succ[f], succ.__getitem__, "Buchi automaton")[0]]
     return frozenset(explore(on_cycle, pred.__getitem__, "Buchi automaton")[0])
 
 

@@ -40,6 +40,13 @@ class TestDecisions:
         assert code == 0
         assert last_line(out) == "yes"
 
+    def test_member_rexp_long_word(self, capsys):
+        # recursion follows the expression, not the word
+        code, out, _ = run(capsys, "member", "--rexp", "a*", "--word", "a" * 5000)
+        assert (code, last_line(out)) == (0, "yes")
+        code, out, _ = run(capsys, "member", "--rexp", "a*", "--word", "a" * 300 + "b")
+        assert (code, last_line(out)) == (1, "no")
+
     def test_member_oexp(self, capsys):
         code, out, _ = run(capsys, "member", "--oexp", "(a+b)*a$", "--lasso", ":aa")
         assert code == 0

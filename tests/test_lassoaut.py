@@ -233,6 +233,15 @@ class TestExtractOmega:
         with pytest.raises(ValueError, match="not saturated"):
             extract_omega_expr(fig1)
 
+    def test_minimizes_once(self, fig2, monkeypatch):
+        # the saturation check and the sum read the one minimal automaton
+        calls = []
+        minimize = lassoaut.minimize_lasso
+        expected = extract_omega_expr(fig2)
+        monkeypatch.setattr(lassoaut, "minimize_lasso", lambda aut: calls.append(aut) or minimize(aut))
+        assert extract_omega_expr(fig2) == expected
+        assert calls == [fig2]
+
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_one_spoke_factor_per_spoke_state(self, seed, pipeline):

@@ -115,6 +115,18 @@ class TestMemberNaive:
         assert member_naive(ONE, "")
         assert not member_naive(ZERO, "")
 
+    def test_long_words_under_a_star(self):
+        # a star searches its factorizations without recursing per factor,
+        # beyond the default recursion limit, and backtracks where a
+        # shorter factor leads nowhere
+        assert member_naive(parse_rexp("a*"), "a" * 5000)
+        assert not member_naive(parse_rexp("a*"), "a" * 5000 + "b")
+        assert member_naive(parse_rexp("(a+b)*"), "ab" * 2500)
+        assert member_naive(parse_rexp("(aa+aaa)*"), "a" * 3001)
+        assert not member_naive(parse_rexp("(aa+aaa)*"), "a")
+        assert member_naive(parse_rexp("(ab+aba)*b"), "aba" + "ab" * 200 + "b")
+        assert not member_naive(parse_rexp("(ab+aba)*"), "aba" + "ab" * 200 + "b")
+
 
 class TestNormalize:
     def test_left_unit(self):
