@@ -54,10 +54,11 @@ from .ratexp import (
     Alphabet,
     alphabet_of,
     enumerate_language,
+    ewp,
     letters_of,
-    member_naive,
     rexp_to_str,
     split,
+    word_deriv,
 )
 from .syntax import check_letter, check_symbols, parse_rexp
 
@@ -128,7 +129,7 @@ def cmd_member(args) -> int:
     if kind == "rexp":
         check_symbols(args.word, "word")
         expr, _ = _expression(args, kind, args.word)
-        ok = member_naive(expr, args.word)
+        ok = ewp(word_deriv(expr, args.word))
         subject = f"word {_word_literal(args.word)}"
         target = rexp_to_str(expr)
     else:

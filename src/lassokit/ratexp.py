@@ -7,22 +7,25 @@ derivative-free membership oracle used to cross-check everything built
 on top of `deriv`.  `enumerate_language` lists a language up to a length
 without it, bottom-up over the term, and is cross-checked against it.
 
-Each term caches five values derived from its fields the first time
-they are asked for: its hash, its `normalize_b` normal form, its
-`structural_key`, its empty word property (`ewp`) and its number of
-letter occurrences (`letter_count`).  The invariants:
+Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): a term class's constructor returns the one object
+of its structure, so `==` and `hash` are object identity.  Each term
+caches four values derived from its fields the first time they are
+asked for: its `normalize_b` normal form, its `structural_key`, its
+empty word property (`ewp`) and its number of letter occurrences
+(`letter_count`).  The invariants:
 
-- cached values are derived from the fields alone, so a term and a fresh
-  copy built from the same fields agree on all five;
-- they are never compared, printed or pickled: `==` and `repr` see only
-  the fields, and pickle, `copy` and `deepcopy` rebuild a term from its
-  fields (a hash mixes in per-process `str` hashes and must not travel);
+- equal terms are one object, so they share one cache;
+- cached values are never compared, printed or pickled: `repr` sees only
+  the fields, and pickle, `copy` and `deepcopy` rebuild a term through
+  its constructor, which returns the term itself;
 - a normal form is its own normal form: `normalize_b` records its result
   on the input and marks the result as normal.
 
-These caches are freed with their terms.  `deriv` and `_member` are
-unbounded module-level `lru_cache`s and keep every term they see;
-`_member` serves only `member_naive`.
+The term table, `deriv` and `_member` are unbounded and keep every term
+they see for the life of the process; `_member` serves only
+`member_naive`.  Identity hashes differ from run to run, as `str` hashes
+do, so no output may depend on the iteration order of a set of terms.
 
 Derivatives are built directly in normal form (Owens, Reppy & Turon,
 "Regular-expression derivatives re-examined", 2009).  `deriv` normalizes
@@ -94,40 +97,38 @@ def alphabet_of(letters: set[str]) -> Alphabet:
     return Alphabet(tuple(sorted(letters or {"a"})))
 
 
-class RatExpr:
+_TERMS: dict[tuple, "RatExpr"] = {}
+
+
+class _Interned(type):
+    """Metaclass of the term classes: the interning constructor of `_term`."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        # setdefault is atomic, so two threads never keep two copies of a term
+        return _TERMS.get(key) or _TERMS.setdefault(key, super().__call__(*fields))
+
+
+class RatExpr(metaclass=_Interned):
     """Base class for rational expression terms."""
 
     # derived values cached after first use; see the module docstring
-    __slots__ = ("_hash", "_nf", "_key", "_ewp", "_size")
+    __slots__ = ("_nf", "_key", "_ewp", "_size")
 
     def __str__(self) -> str:
         return rexp_to_str(self)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            # the class is part of the hash, so Sum(x, y) and Concat(x, y) differ
-            h = hash((self.__class__, *self._fields()))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __reduce__(self):
-        # pickle and copy rebuild a term from its fields alone, so no cached
-        # value travels, whatever a Python version's dataclasses do for
-        # frozen slotted classes
-        return (self.__class__, self._fields())
+        # pickle and copy rebuild a term through its constructor, which
+        # returns the interned term; no cached value travels
+        return (self.__class__, tuple(getattr(self, name) for name in self.__match_args__))
 
 
 def _term(cls):
-    """A frozen, slotted term class: fields compared as by the dataclass,
-    hashed by RatExpr's cached hash instead of the dataclass's uncached one."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = RatExpr.__hash__
-    return cls
+    """A frozen, slotted term class whose constructor looks up (class,
+    *fields) in the module's term table and builds the instance with the
+    dataclass `__init__` only on a miss; equality and hash are identity."""
+    return dataclass(frozen=True, slots=True, eq=False)(cls)
 
 
 @_term
@@ -194,27 +195,27 @@ def structural_key(t: RatExpr):
 
 def rcat(l: RatExpr, r: RatExpr) -> RatExpr:
     """Concatenation with unit/zero folding (language-preserving)."""
-    if l == ZERO or r == ZERO:
+    if l is ZERO or r is ZERO:
         return ZERO
-    if l == ONE:
+    if l is ONE:
         return r
-    if r == ONE:
+    if r is ONE:
         return l
     return Concat(l, r)
 
 
 def rsum(l: RatExpr, r: RatExpr) -> RatExpr:
-    if l == ZERO:
+    if l is ZERO:
         return r
-    if r == ZERO:
+    if r is ZERO:
         return l
-    if l == r:
+    if l is r:
         return l
     return Sum(l, r)
 
 
 def rstar(x: RatExpr) -> RatExpr:
-    if x == ZERO or x == ONE:
+    if x is ZERO or x is ONE:
         return ONE
     if isinstance(x, Star):
         return x
@@ -325,11 +326,11 @@ def normalize_b(t: RatExpr) -> RatExpr:
         case Concat(l, r):
             ln = normalize_b(l)
             rn = normalize_b(r)
-            if ln == ZERO or rn == ZERO:
+            if ln is ZERO or rn is ZERO:
                 nf = ZERO
-            elif ln == ONE:
+            elif ln is ONE:
                 nf = rn
-            elif rn == ONE:
+            elif rn is ONE:
                 nf = ln
             else:
                 nf = t if ln is l and rn is r else Concat(ln, rn)
@@ -352,9 +353,9 @@ def normalize_b(t: RatExpr) -> RatExpr:
 
 def _nsum(l: RatExpr, r: RatExpr) -> RatExpr:
     """normalize_b(Sum(l, r)) for normal l and r, from their summands."""
-    if l == ZERO:
+    if l is ZERO:
         return r
-    if r == ZERO:
+    if r is ZERO:
         return l
     flat: list[RatExpr] = []
     _flatten_sum(l, flat)

@@ -41,6 +41,7 @@ from lassokit.ratexp import (
     ZERO,
     Zero,
     ewp,
+    rexp_to_str,
     split,
 )
 
@@ -86,6 +87,75 @@ def deriv_raw_oracle(t: RatExpr, a: str) -> RatExpr:
         case Star(x):
             return Concat(deriv_raw_oracle(x, a), t)
     raise TypeError(f"not a rational expression: {t!r}")
+
+
+def ewp_oracle(t: RatExpr) -> bool:
+    """`ratexp.ewp` recomputed on every call, reading no cached value."""
+    match t:
+        case Zero() | Letter(_):
+            return False
+        case One() | Star(_):
+            return True
+        case Sum(l, r):
+            return ewp_oracle(l) or ewp_oracle(r)
+        case Concat(l, r):
+            return ewp_oracle(l) and ewp_oracle(r)
+    raise TypeError(f"not a rational expression: {t!r}")
+
+
+def letter_count_oracle(t: RatExpr) -> int:
+    """`ratexp.letter_count` read off the printed text: its letters, a
+    shared subterm counted each time it is printed."""
+    return sum(c.isalpha() for c in rexp_to_str(t))
+
+
+def _structural_key_oracle(t: RatExpr) -> tuple:
+    match t:
+        case Zero():
+            return (0,)
+        case One():
+            return (1,)
+        case Letter(c):
+            return (2, c)
+        case Star(x):
+            return (3, _structural_key_oracle(x))
+        case Concat(l, r):
+            return (4, _structural_key_oracle(l), _structural_key_oracle(r))
+        case Sum(l, r):
+            return (5, _structural_key_oracle(l), _structural_key_oracle(r))
+    raise TypeError(f"not a rational expression: {t!r}")
+
+
+def normal_form_oracle(t: RatExpr) -> RatExpr:
+    """`ratexp.normalize_b` recomputed on every call, reading no cached
+    value: the summands of a sum normalized, deduplicated, purged of 0,
+    sorted by the structural order and nested to the right; 1 and 0
+    folded in a concatenation; a star kept around its normal body."""
+    match t:
+        case Star(x):
+            return Star(normal_form_oracle(x))
+        case Concat(l, r):
+            ln, rn = normal_form_oracle(l), normal_form_oracle(r)
+            if ln is ZERO or rn is ZERO:
+                return ZERO
+            if ln is ONE or rn is ONE:
+                return rn if ln is ONE else ln
+            return Concat(ln, rn)
+        case Sum(l, r):
+            summands: set[RatExpr] = set()
+            todo = [normal_form_oracle(l), normal_form_oracle(r)]
+            while todo:
+                x = todo.pop()
+                if isinstance(x, Sum):
+                    todo += [x.left, x.right]
+                elif x is not ZERO:
+                    summands.add(x)
+            ordered = sorted(summands, key=_structural_key_oracle)
+            acc = ordered.pop() if ordered else ZERO
+            for x in reversed(ordered):
+                acc = Sum(x, acc)
+            return acc
+    return t
 
 
 def minimize_dfa_oracle(d: Dfa) -> Dfa:

@@ -47,6 +47,28 @@ class TestDecisions:
         code, out, _ = run(capsys, "member", "--rexp", "a*", "--word", "a" * 300 + "b")
         assert (code, last_line(out)) == (1, "no")
 
+    def test_member_rexp_is_linear_in_the_word(self, capsys):
+        # a word that backtracks under a star and a concatenation: the
+        # factorization oracle takes over 30 s on it, the derivative walk is linear
+        word = "aba" + "ab" * 2000 + "b"
+        code, out, _ = run(capsys, "member", "--rexp", "(ab+aba)*b", "--word", word)
+        assert (code, last_line(out)) == (0, "yes")
+        code, out, _ = run(capsys, "member", "--rexp", "(ab+aba)*b", "--word", word + "a")
+        assert (code, last_line(out)) == (1, "no")
+
+    @given(st.integers(0, 10_000), st.integers(0, 4), st.text("abc", max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_member_rexp_agrees_with_member_naive(self, seed, depth, word):
+        from helpers import random_rexp
+        from lassokit import member_naive, rexp_to_str
+
+        expr = random_rexp(random.Random(seed), "ab", depth)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["member", "--rexp", rexp_to_str(expr), "--alphabet", "abc", "--word", word])
+        expected = member_naive(expr, word)
+        assert (code, last_line(out.getvalue())) == ((0, "yes") if expected else (1, "no"))
+
     def test_member_oexp(self, capsys):
         code, out, _ = run(capsys, "member", "--oexp", "(a+b)*a$", "--lasso", ":aa")
         assert code == 0

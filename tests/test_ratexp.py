@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import deriv_raw_oracle, random_rexp
+from helpers import deriv_raw_oracle, ewp_oracle, letter_count_oracle, normal_form_oracle, random_rexp
 from lassokit import (
     Alphabet,
     Concat,
@@ -356,7 +356,7 @@ class TestProperties:
             assert structural_key(t) == k
 
 
-# Terms built from fresh objects, so examples share no cached values.
+# Terms built by the constructors, in a Hypothesis-chosen order.
 terms = st.recursive(
     st.one_of(st.builds(Zero), st.builds(One), st.builds(Letter, st.sampled_from("ab"))),
     lambda kids: st.one_of(st.builds(Concat, kids, kids), st.builds(Sum, kids, kids), st.builds(Star, kids)),
@@ -364,8 +364,8 @@ terms = st.recursive(
 )
 
 
-def fresh(t):
-    """A copy of t built anew from its text, holding no cached values."""
+def reparsed(t):
+    """t built again from its printed text, by the parser."""
     return parse_rexp(rexp_to_str(t))
 
 
@@ -384,9 +384,47 @@ def subterms(t):
     return out
 
 
+class TestInterning:
+    """Equal terms are one object, however they are built or copied."""
+
+    @given(terms)
+    @settings(max_examples=150, deadline=None)
+    def test_parsing_printed_text_twice_gives_one_object(self, t):
+        text = rexp_to_str(t)
+        assert parse_rexp(text) is parse_rexp(text) is t
+
+    @given(terms)
+    @settings(max_examples=150, deadline=None)
+    def test_copies_are_the_term_itself(self, t):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_constants_are_interned(self):
+        assert Zero() is ZERO
+        assert One() is ONE
+        assert Letter("a") is Letter("a") is not Letter("b")
+        assert Star(Letter("a")) is parse_rexp("a*")
+
+    def test_deep_chain_hashes_and_compares_without_recursion(self):
+        # the first hash and `==` of a term used to recurse on its depth
+        def chain(n):
+            t = ONE
+            for _ in range(n):
+                t = Concat(Letter("a"), t)
+            return t
+
+        deep = chain(100_000)
+        again = chain(100_000)
+        assert deep is again and deep == again and hash(deep) == hash(again)
+        assert deep != Concat(Letter("b"), again.right)
+        assert len({deep, again, deep.right}) == 2
+
+
 class TestTermCaches:
-    """Hashes, normal forms and sort keys are cached on the terms; the
-    cached values must agree with fresh computations and never travel."""
+    """Normal forms, sort keys, ewp and letter counts are cached on the
+    terms; the cached values must agree with uncached reference functions
+    and never travel."""
 
     @given(terms, st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
@@ -398,14 +436,15 @@ class TestTermCaches:
             normalize_b(x)
         nf = normalize_b(t)
         assert normalize_b(t) is nf
-        assert nf == normalize_b(fresh(t))
+        assert nf is normal_form_oracle(t)
         assert normalize_b(nf) is nf
-        assert normalize_b(fresh(nf)) == nf
+        assert normal_form_oracle(nf) is nf
+        assert reparsed(t) is t and reparsed(nf) is nf
 
     @given(terms, st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_equal_terms_hash_equal_whatever_order_built(self, t, rng):
-        bottom_up, shuffled = fresh(t), fresh(t)
+        bottom_up, shuffled = reparsed(t), reparsed(t)
         for x in subterms(bottom_up):
             hash(x)
         parts = subterms(shuffled)
@@ -413,7 +452,7 @@ class TestTermCaches:
         for x in parts:
             structural_key(x)
             hash(x)
-        assert bottom_up == shuffled == t
+        assert bottom_up is shuffled is t
         assert hash(bottom_up) == hash(shuffled) == hash(t)
         assert structural_key(bottom_up) == structural_key(shuffled) == structural_key(t)
 
@@ -428,23 +467,20 @@ class TestTermCaches:
     @settings(max_examples=150, deadline=None)
     def test_cached_ewp_matches_fresh_copies(self, t):
         cached = ewp(t)
+        assert cached is ewp_oracle(t)
         assert ewp(t) is cached
-        for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-            assert not hasattr(clone, "_ewp")
-            assert ewp(clone) is cached
-        assert ewp(fresh(t)) is cached
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)), reparsed(t)):
+            assert clone is t
 
     @given(terms)
     @settings(max_examples=150, deadline=None)
     def test_cached_letter_count_matches_fresh_copies(self, t):
         # the letters of the printed text, a shared subterm counted each time
         count = letter_count(t)
-        assert count == sum(c.isalpha() for c in rexp_to_str(t))
+        assert count == letter_count_oracle(t)
         assert letter_count(t) == count
-        for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-            assert not hasattr(clone, "_size")
-            assert letter_count(clone) == count
-        assert letter_count(fresh(t)) == count
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)), reparsed(t)):
+            assert clone is t
         assert letter_count(Concat(t, t)) == letter_count(Sum(t, Star(t))) == 2 * count
 
     @given(terms)
@@ -459,7 +495,7 @@ class TestTermCaches:
         assert pickle.dumps(t) == before
         for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
             assert clone == t
-            assert hash(clone) == hash(fresh(t)) == hash(t)
+            assert hash(clone) == hash(reparsed(t)) == hash(t)
             assert table[clone] == "entry"
             assert normalize_b(clone) == normalize_b(t)
             assert repr(clone) == repr(t)
