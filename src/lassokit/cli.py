@@ -33,12 +33,15 @@ from .lassoaut import (
 )
 from .lassoexp import (
     compile_lasso,
+    d1_df,
+    d2_df,
     df_to_str,
+    disjunctive_form,
     lexp_letters,
+    lexp_spoke_walk,
     lexp_to_str,
     member_lasso_naive,
     parse_lexp,
-    spoke_live_naive,
 )
 from .lassos import enumerate_lassos, gamma_equiv, normal_form, parse_lasso
 from .omega import (
@@ -136,7 +139,11 @@ def cmd_member(args) -> int:
         lasso = parse_lasso(args.lasso)
         expr, alphabet = _expression(args, kind, lasso.spoke, lasso.loop)
         if kind == "lexp":
-            ok, target = member_lasso_naive(expr, lasso), lexp_to_str(expr)
+            # the spoke derivative along the spoke, the switch derivative on
+            # the loop's first letter, the word derivative on the rest
+            df = functools.reduce(d1_df, lasso.spoke, disjunctive_form(expr))
+            ok = ewp(word_deriv(d2_df(df, lasso.loop[0]), lasso.loop[1:]))
+            target = lexp_to_str(expr)
         else:
             ok, target = up_member(expr, lasso, alphabet), oexp_to_str(expr)
         subject = f"lasso {lasso}"
@@ -240,7 +247,7 @@ def cmd_enumerate(args) -> int:
     # each spoke is tested once, shortest first, and only a live spoke gets
     # lassos built, which the oracle then decides
     if kind == "lexp":
-        live = lambda u: spoke_live_naive(expr, u)
+        live = lexp_spoke_walk(expr)
         check = lambda l: member_lasso_naive(expr, l)
     else:
         live = live_spoke_walk(expr, alphabet)

@@ -243,29 +243,6 @@ def boolean_combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
 
-def concat_dfa(d1: Dfa, d2: Dfa) -> Dfa:
-    """Automaton for L(d1)·L(d2) by subset construction on reachable states.
-
-    A state is a d1 state together with the set of d2 states entered so
-    far; d2's initial state joins the set whenever the d1 state is final.
-    A state is final when its set meets d2's finals.
-    """
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatchError("concat_dfa requires identical alphabets")
-    na = len(d1.alphabet.letters)
-
-    def enter(p: int, qs: frozenset[int]) -> tuple[int, frozenset[int]]:
-        return (p, qs | {d2.initial}) if p in d1.finals else (p, qs)
-
-    def successors(state: tuple[int, frozenset[int]]):
-        p, qs = state
-        return [enter(d1.trans[p][ai], frozenset(d2.trans[q][ai] for q in qs)) for ai in range(na)]
-
-    index, rows = explore([enter(d1.initial, frozenset())], successors, "concatenation automaton")
-    finals = frozenset(i for (_, qs), i in index.items() if not qs.isdisjoint(d2.finals))
-    return Dfa(d1.alphabet, tuple(rows), 0, finals)
-
-
 def complement(d: Dfa) -> Dfa:
     finals = frozenset(range(d.n_states)) - d.finals
     return Dfa(d.alphabet, d.trans, d.initial, finals, d.terms)

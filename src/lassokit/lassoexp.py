@@ -12,15 +12,20 @@ fold are shared.
 The kind of an expression is its base class, `LassoExpr` or
 `OmegaExpr`.  Each kind has its own thin node subclasses, so expressions
 of two kinds never compare equal, and the functions that give an
-expression its meaning (`member_lasso_naive` and `disjunctive_form`
-here, `h_map` and `to_nba` in `omega`) reject the other kind with a
-TypeError.
+expression its meaning reject the other kind with a TypeError:
+`member_lasso_naive` and `disjunctive_form` here, `h_map` and `to_nba`
+in `omega`.  Everything else that reads a lasso expression starts from
+its disjunctive form (`compile_lasso`, `lexp_spoke_walk`, the
+derivative fold of `member --lexp`), and everything else that reads an
+omega expression from `h_map` or `to_nba`.
 
 Every lasso expression flattens to a disjunctive form, a finite set of
-(spoke expression, loop expression) pairs; disjunctive forms are the
-spoke states of the automaton `compile_lasso` builds from a lasso
-expression.  A disjunctive form itself compiles to the minimal lasso
-automaton of its lassos.
+(spoke expression, loop expression) pairs.  Its Brzozowski derivatives
+(`d1_df` on a spoke letter, `d2_df` on the loop's first letter, then
+`ratexp.deriv`) decide a lasso in one pass over its letters, and the
+forms they reach are the spoke states of the automaton `compile_lasso`
+builds from a lasso expression.  A disjunctive form itself compiles to
+the minimal lasso automaton of its lassos.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import NullableLoopError, ParseError
 from .langops import Dfa, boolean_combine, compile_dfa, explore, minimize_dfa
-from .lassos import Lasso
+from .lassos import Lasso, spoke_walk
 from .ratexp import (
     Alphabet,
     ONE,
@@ -45,7 +50,6 @@ from .ratexp import (
     rcat,
     render_rexp,
     rexp_to_str,
-    rsum,
     structural_key,
     sum_of,
 )
@@ -246,8 +250,8 @@ def tailed_letters(rho: TailedExpr) -> set[str]:
     raise TypeError(f"not a lasso or omega expression: {rho!r}")
 
 
-lprefix = oprefix = tprefix
-lsum = osum = tsum
+oprefix = tprefix
+osum = tsum
 lexp_to_str = oexp_to_str = tailed_to_str
 lexp_letters = oexp_letters = tailed_letters
 
@@ -270,27 +274,6 @@ def member_lasso_naive(rho: LassoExpr, l: Lasso) -> bool:
             )
         case LSum(left, right):
             return member_lasso_naive(left, l) or member_lasso_naive(right, l)
-    raise TypeError(f"not a lasso expression: {rho!r}")
-
-
-def spoke_live_naive(rho: LassoExpr, u: str) -> bool:
-    """Does some lasso with spoke u lie in rho?  `member_lasso_naive`'s
-    recursion without the loop test: an '@' takes the empty spoke when
-    its body denotes some word, which is then a loop.  Nothing is
-    compiled.  A loop bound can leave out every loop of a live spoke, but
-    every lasso accepted within it has a live spoke, so a spoke found
-    dead needs no loop tried.  The tail is tested before the prefix, so
-    an '@' tail asks `member_naive` only for the whole spoke.
-    """
-    match rho:
-        case LZero():
-            return False
-        case Circle(r):
-            return u == "" and normalize_b(r) != ZERO
-        case Prefix(t, tail):
-            return any(spoke_live_naive(tail, u[i:]) and member_naive(t, u[:i]) for i in range(len(u) + 1))
-        case LSum(left, right):
-            return spoke_live_naive(left, u) or spoke_live_naive(right, u)
     raise TypeError(f"not a lasso expression: {rho!r}")
 
 
@@ -321,6 +304,11 @@ class DisjunctiveForm:
         canon.sort(key=lambda p: (structural_key(p[0]), structural_key(p[1])))
         object.__setattr__(self, "pairs", tuple(canon))
 
+    def __bool__(self) -> bool:
+        """False for the form with no pairs, which denotes no lasso: the
+        dead state of `lexp_spoke_walk`."""
+        return bool(self.pairs)
+
     def __str__(self) -> str:
         return df_to_str(self)
 
@@ -336,14 +324,6 @@ def df_letters(df: DisjunctiveForm) -> set[str]:
     for t, s in df.pairs:
         out |= letters_of(t) | letters_of(s)
     return out
-
-
-def df_member(df: DisjunctiveForm, l: Lasso) -> bool:
-    return any(member_naive(t, l.spoke) and member_naive(s, l.loop) for t, s in df.pairs)
-
-
-def df_to_lexp(df: DisjunctiveForm) -> LassoExpr:
-    return tsum_of(LZERO, [tprefix(t, Circle(s)) for t, s in df.pairs])
 
 
 def flatten(
@@ -372,35 +352,6 @@ def disjunctive_form(rho: LassoExpr) -> DisjunctiveForm:
     return flatten(rho, LassoExpr, lambda r: ((ONE, r),))
 
 
-def d1_general(rho: LassoExpr, a: str) -> LassoExpr:
-    """Spoke derivative on arbitrary lasso expressions."""
-    match rho:
-        case LZero() | Circle(_):
-            return LZERO
-        case LSum(l, r):
-            return lsum(d1_general(l, a), d1_general(r, a))
-        case Prefix(t, tail):
-            first = lprefix(deriv(t, a), tail)
-            if ewp(t):
-                return lsum(first, d1_general(tail, a))
-            return first
-    raise TypeError(f"not a lasso expression: {rho!r}")
-
-
-def d2_general(rho: LassoExpr, a: str) -> RatExpr:
-    """Switch derivative: the rational expression entered when the loop starts with a."""
-    match rho:
-        case LZero():
-            return ZERO
-        case Circle(r):
-            return deriv(r, a)
-        case LSum(l, r):
-            return normalize_b(rsum(d2_general(l, a), d2_general(r, a)))
-        case Prefix(t, tail):
-            return d2_general(tail, a) if ewp(t) else ZERO
-    raise TypeError(f"not a lasso expression: {rho!r}")
-
-
 def d1_df(df: DisjunctiveForm, a: str) -> DisjunctiveForm:
     """Spoke derivative on disjunctive forms: derive every spoke, keep loops."""
     return DisjunctiveForm(tuple((deriv(t, a), s) for t, s in df.pairs))
@@ -410,6 +361,21 @@ def d2_df(df: DisjunctiveForm, a: str) -> RatExpr:
     """Switch derivative on disjunctive forms: sum of loop derivatives over
     the pairs whose spoke accepts the empty word."""
     return normalize_b(sum_of(deriv(s, a) for t, s in df.pairs if ewp(t)))
+
+
+def lexp_spoke_walk(rho: LassoExpr) -> Callable[[str], bool]:
+    """A test of spokes: does some lasso with spoke u lie in rho?  That
+    holds iff some accepted lasso has spoke u, so a spoke it rejects
+    needs no loop tried.
+
+    `spoke_walk` on disjunctive forms, stepped by `d1_df`: the form that
+    u reaches holds the pairs (u⁻¹t, s), and u is live iff one of their
+    spokes accepts the empty word, since every loop s of a form denotes
+    some nonempty word.  Liveness is not prefix-closed (for b(a@) the
+    spoke '' is dead and b is live), but a form with no pairs is dead
+    for good: it steps only to itself.
+    """
+    return spoke_walk(disjunctive_form(rho), d1_df, lambda df: any(ewp(t) for t, _ in df.pairs))
 
 
 def compile_lasso(rho: LassoExpr | DisjunctiveForm, alphabet: Alphabet | None = None):

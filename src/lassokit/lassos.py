@@ -8,6 +8,11 @@ root.  The system is confluent and strongly normalising, so normal
 forms decide equality of the denoted words (`gamma_equiv`); `up_equal`
 checks the same thing by direct word comparison and serves as the
 independent oracle.
+
+`enumerate_lassos` lists the lassos up to a bound, optionally only
+those whose spoke passes a spoke test; `spoke_walk` is the one
+incremental spoke test, which the enumeration of lasso expressions and
+of omega expressions both run.
 """
 
 from __future__ import annotations
@@ -15,10 +20,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import lcm
+from typing import TypeVar
 
 from .errors import ParseError
 from .ratexp import Alphabet, words_up_to
 from .syntax import check_symbols
+
+S = TypeVar("S")
 
 
 @dataclass(frozen=True)
@@ -121,3 +129,33 @@ def enumerate_lassos(
     if live is not None:
         spokes = filter(live, spokes)
     return [Lasso(u, v) for u in spokes for v in loops]
+
+
+def spoke_walk(start: S, step: Callable[[S, str], S], live: Callable[[S], bool]) -> Callable[[str], bool]:
+    """A test of spokes: u passes iff `live` holds of the state that
+    `step` reaches from `start` on the letters of u.
+
+    The state of u is one step from the state of u less its last letter
+    when that was asked for before; asked shortest first, as
+    `enumerate_lassos` asks its spoke test, each spoke costs one step.
+    Otherwise the state is walked forward from the empty spoke, one letter
+    at a time and without recursion, and only u's own state is kept.  A
+    falsy state is dead: nothing is left of it to step, so it is never
+    stepped, and every extension of its spoke gets it without a step.
+    """
+    reached = {"": start}  # spoke -> its state
+
+    def state(u: str) -> S:
+        if u not in reached:
+            before = reached.get(u[:-1])
+            rest = u[-1:]
+            if before is None:
+                before, rest = start, u
+            for a in rest:
+                if not before:
+                    break
+                before = step(before, a)
+            reached[u] = before
+        return reached[u]
+
+    return lambda u: live(state(u))

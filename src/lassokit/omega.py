@@ -20,10 +20,17 @@ omega-languages", MFPS 1993), so that automaton is saturated too.
 
 The oracle (`to_nba`/`up_member`) goes through a nondeterministic Buchi
 automaton, kept as one successor table of int bit masks (`Nba.rows`, one
-mask per letter and state), and shares nothing with the lasso machinery,
-so pipeline bugs cannot cancel out in the tests.  Sets of states are bit
-masks throughout.  `up_member` meets two sets of states.  One is the set
-the spoke leads to (`_spoke_states`), from one subset walk on the table.
+mask per letter and state).  It shares no code with the pipeline's own
+stages (`h_map`, `split`, `gamma_map`, `root`, `dfa_to_expr`, lasso
+automata), so their bugs cannot cancel out in the tests.  It does share
+the rational-expression layer: `to_nba` builds every finite part and
+every omega-power body with `compile_dfa`, which runs on `deriv` and
+`normalize_b`, the code of γ's derivative closure and of the DFAs of
+`compile_lasso`.  A bug there can reach both sides.
+
+Sets of states are bit masks throughout.  `up_member` meets two sets of
+states.  One is the set the spoke leads to (`_spoke_states`), from one
+subset walk on the table.
 The other is the set from which the loop's omega power is accepted
 (`_loop_accepting`).  It is read off the loop's transition profile
 (`_profile`): for each state, which states the loop leads it to, and
@@ -37,10 +44,11 @@ the nodes that reach an accepting node lying on a cycle; `_live` finds
 them on the automaton's edges over all letters (`_live_states`) in one
 linear strongly-connected-components pass (Tarjan, "Depth-first search
 and linear graph algorithms", 1972).
-On them `live_spoke_walk` tests spokes alone, so that enumeration
-decides a lasso only when some omega word can follow its spoke (the
-live-state pruning of Ackerman & Shallit, "Efficient enumeration of
-words in regular languages", 2009).
+On them `live_spoke_walk` tests spokes alone (`lassos.spoke_walk`, one
+subset step per spoke), so that enumeration decides a lasso only when
+some omega word can follow its spoke (the live-state pruning of
+Ackerman & Shallit, "Efficient enumeration of words in regular
+languages", 2009).
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from .lassoexp import (
     parse_oexpr,
 )
 from .lassoaut import is_saturated
-from .lassos import Lasso
+from .lassos import Lasso, spoke_walk
 from .ratexp import Alphabet, RatExpr, alphabet_of, deriv, ewp, normalize_b, rcat, rstar, split
 
 
@@ -322,36 +330,17 @@ def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[
     language of T?  That holds iff some lasso whose spoke extends u is
     accepted, so a spoke it rejects needs no loop tried.
 
-    Each spoke carries the bit mask of the live states (`_live_states`)
-    of the Buchi automaton that it reaches, and the spoke is live iff
-    that mask is nonzero.  The mask of u is one step (`_image` on the
-    letter's row) from the mask of u less its last letter when that was
-    asked for before; asked shortest first, as
-    `enumerate_lassos` asks its spoke test, each spoke costs one step.
-    Otherwise the set is walked forward from the empty spoke, one letter
-    at a time and without recursion, and only u's own set is kept.  A
-    dead state steps only to dead states, so every extension of a dead
-    spoke is dead too, without a step.  Oracle machinery, like
-    `up_member`: nothing of the pipeline is used.
+    `spoke_walk` on the Buchi automaton: each spoke carries the bit mask
+    of the live states (`_live_states`) that it reaches, one `_image`
+    step on the letter's row per letter, and the spoke is live iff that
+    mask is nonzero.  The empty mask is the dead state, and it steps only
+    to itself, so here liveness is prefix-closed.  Oracle machinery, like `up_member`: nothing of
+    the pipeline is used.
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     live = _live_states(nba)
-    reached = {"": live & nba.initials}  # spoke -> the bit mask of its live states
-
-    def states(u: str) -> int:
-        if u not in reached:
-            before = reached.get(u[:-1])
-            rest = u[-1:]
-            if before is None:
-                before, rest = reached[""], u
-            for a in rest:
-                if not before:
-                    break
-                before = live & _image(nba.rows[nba.alphabet.index(a)], before)
-            reached[u] = before
-        return reached[u]
-
-    return lambda u: bool(states(u))
+    step = lambda states, a: live & _image(nba.rows[nba.alphabet.index(a)], states)
+    return spoke_walk(live & nba.initials, step, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +382,7 @@ def gamma_map(df: DisjunctiveForm, alphabet: Alphabet | None = None) -> Disjunct
        classes; the intersection of a pair is empty when its class is the
        non-final class whose every letter loops back to it;
     3. one concatenation closure from every (intersection class, s0) of a
-       nonempty intersection, on `concat_dfa`'s rule: a state is an
+       nonempty intersection, by subset construction: a state is an
        intersection class, s0, and the set of s0's derivative classes
        entered so far as an int bit mask, and s0 joins the set whenever
        the intersection class is final (once the intersection class is

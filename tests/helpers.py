@@ -15,7 +15,6 @@ from lassokit.langops import (
     boolean_combine,
     compile_dfa,
     complement,
-    concat_dfa,
     dfa_to_expr,
     equivalent_dfa,
     explore,
@@ -26,7 +25,19 @@ from lassokit.langops import (
     root,
 )
 from lassokit.lassoaut import LassoAutomaton, _power_witness, _short_orbit_witnesses, accepts, loop_dfa
-from lassokit.lassoexp import Circle, DisjunctiveForm, LSum, LZERO, LassoExpr, Prefix
+from lassokit.errors import AlphabetMismatchError
+from lassokit.lassoexp import (
+    Circle,
+    DisjunctiveForm,
+    LSum,
+    LZERO,
+    LZero,
+    LassoExpr,
+    Prefix,
+    tprefix,
+    tsum,
+    tsum_of,
+)
 from lassokit.lassos import Lasso, expansions, normal_form
 from lassokit.omega import Nba, OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _live, _oexp_alphabet, to_nba
 from lassokit.ratexp import (
@@ -40,8 +51,12 @@ from lassokit.ratexp import (
     Sum,
     ZERO,
     Zero,
+    deriv,
     ewp,
+    member_naive,
+    normalize_b,
     rexp_to_str,
+    rsum,
     split,
 )
 
@@ -200,6 +215,31 @@ def equivalent_dfa_oracle(d1: Dfa, d2: Dfa) -> tuple[bool, str | None]:
     numbers the product's states again.  The library reads the same word
     off the product's own numbering."""
     return is_empty_dfa(boolean_combine(d1, d2, "xor"))
+
+
+def concat_dfa(d1: Dfa, d2: Dfa) -> Dfa:
+    """Automaton for L(d1)·L(d2) by subset construction on reachable states.
+
+    A state is a d1 state together with the set of d2 states entered so
+    far; d2's initial state joins the set whenever the d1 state is final.
+    A state is final when its set meets d2's finals.  The oracle of
+    `omega.gamma_map`'s concatenation closure, which follows the same
+    rule on classes of all of a call's triples at once.
+    """
+    if d1.alphabet != d2.alphabet:
+        raise AlphabetMismatchError("concat_dfa requires identical alphabets")
+    na = len(d1.alphabet.letters)
+
+    def enter(p: int, qs: frozenset[int]) -> tuple[int, frozenset[int]]:
+        return (p, qs | {d2.initial}) if p in d1.finals else (p, qs)
+
+    def successors(state: tuple[int, frozenset[int]]):
+        p, qs = state
+        return [enter(d1.trans[p][ai], frozenset(d2.trans[q][ai] for q in qs)) for ai in range(na)]
+
+    index, rows = explore([enter(d1.initial, frozenset())], successors, "concatenation automaton")
+    finals = frozenset(i for (_, qs), i in index.items() if not qs.isdisjoint(d2.finals))
+    return Dfa(d1.alphabet, tuple(rows), 0, finals)
 
 
 def gamma_map_oracle(df: DisjunctiveForm, alphabet: Alphabet) -> DisjunctiveForm:
@@ -404,6 +444,72 @@ def is_saturated_oracle(aut: LassoAutomaton, bounded: bool = True) -> tuple[bool
     if not candidates:
         return (True, None)
     return (False, min(candidates, key=size))
+
+
+def df_member(df: DisjunctiveForm, l: Lasso) -> bool:
+    """Membership in a disjunctive form straight from its pairs, by
+    `member_naive` on spoke and loop: the oracle of `compile_lasso` and
+    of the derivative fold of `member --lexp` on forms."""
+    return any(member_naive(t, l.spoke) and member_naive(s, l.loop) for t, s in df.pairs)
+
+
+def df_to_lexp(df: DisjunctiveForm) -> LassoExpr:
+    """The lasso expression t1·(s1)@ + … of a disjunctive form, so that
+    `member_lasso_naive` can judge the form and the text pins print it."""
+    return tsum_of(LZERO, [tprefix(t, Circle(s)) for t, s in df.pairs])
+
+
+def spoke_live_naive(rho: LassoExpr, u: str) -> bool:
+    """Does some lasso with spoke u lie in rho?  `member_lasso_naive`'s
+    recursion without the loop test: an '@' takes the empty spoke when its
+    body denotes some word, which is then a loop.  Nothing is compiled and
+    no derivative is taken: the oracle of `lassoexp.lexp_spoke_walk`.  The
+    tail is tested before the prefix, so an '@' tail asks `member_naive`
+    only for the whole spoke.
+    """
+    match rho:
+        case LZero():
+            return False
+        case Circle(r):
+            return u == "" and normalize_b(r) != ZERO
+        case Prefix(t, tail):
+            return any(spoke_live_naive(tail, u[i:]) and member_naive(t, u[:i]) for i in range(len(u) + 1))
+        case LSum(left, right):
+            return spoke_live_naive(left, u) or spoke_live_naive(right, u)
+    raise TypeError(f"not a lasso expression: {rho!r}")
+
+
+def d1_general(rho: LassoExpr, a: str) -> LassoExpr:
+    """The spoke derivative on lasso expressions themselves, by structural
+    recursion: the oracle of `lassoexp.d1_df`, which derives the spokes of
+    the disjunctive form."""
+    match rho:
+        case LZero() | Circle(_):
+            return LZERO
+        case LSum(l, r):
+            return tsum(d1_general(l, a), d1_general(r, a))
+        case Prefix(t, tail):
+            first = tprefix(deriv(t, a), tail)
+            if ewp(t):
+                return tsum(first, d1_general(tail, a))
+            return first
+    raise TypeError(f"not a lasso expression: {rho!r}")
+
+
+def d2_general(rho: LassoExpr, a: str) -> RatExpr:
+    """The switch derivative on lasso expressions themselves, the rational
+    expression entered when the loop starts with a: the oracle of
+    `lassoexp.d2_df`."""
+    match rho:
+        case LZero():
+            return ZERO
+        case Circle(r):
+            return deriv(r, a)
+        case LSum(l, r):
+            return normalize_b(rsum(d2_general(l, a), d2_general(r, a)))
+        case Prefix(t, tail):
+            return d2_general(tail, a) if ewp(t) else ZERO
+    raise TypeError(f"not a lasso expression: {rho!r}")
 
 
 def random_rexp_no_ewp(rng: random.Random, letters: str = "ab", depth: int = 2) -> RatExpr:

@@ -13,6 +13,9 @@ import time
 from collections import defaultdict
 
 from helpers import (
+    d1_general,
+    d2_general,
+    df_member,
     gamma_class_upto,
     random_lasso,
     random_lexp,
@@ -33,9 +36,6 @@ from lassokit import (
     accepts,
     compile_dfa,
     compile_lasso,
-    d1_general,
-    d2_general,
-    df_member,
     disjunctive_form,
     enumerate_language,
     enumerate_lassos,

@@ -6,12 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lassokit import Alphabet, enumerate_lassos
 from lassokit.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.lauto")
 FIG2 = str(DATA / "fig2.lauto")
 BIG_UNSATURATED = str(DATA / "big_unsaturated.lauto")
+LASSO_BOX = enumerate_lassos(Alphabet(("a", "b")), 3, 3)
 
 
 def run(capsys, *argv):
@@ -67,6 +69,34 @@ class TestDecisions:
         with contextlib.redirect_stdout(out):
             code = main(["member", "--rexp", rexp_to_str(expr), "--alphabet", "abc", "--word", word])
         expected = member_naive(expr, word)
+        assert (code, last_line(out.getvalue())) == ((0, "yes") if expected else (1, "no"))
+
+    def test_member_lexp_is_linear_in_the_lasso(self, capsys):
+        # the spoke backtracks under the star and the concatenation, where
+        # the factorization oracle is cubic; the derivative fold is linear
+        spoke = "aba" + "ab" * 2000 + "b"
+        code, out, _ = run(capsys, "member", "--lexp", "(ab+aba)*b(a@)", "--lasso", f"{spoke}:a")
+        assert (code, last_line(out)) == (0, "yes")
+        code, out, _ = run(capsys, "member", "--lexp", "(ab+aba)*b(a@)", "--lasso", f"{spoke}:b")
+        assert (code, last_line(out)) == (1, "no")
+        code, out, _ = run(capsys, "member", "--lexp", "(ab+aba)*b(a@)", "--lasso", f"{spoke}a:a")
+        assert (code, last_line(out)) == (1, "no")
+
+    @given(st.integers(0, 10_000), st.integers(0, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_member_lexp_agrees_with_member_lasso_naive(self, seed, depth, data):
+        # a lasso of the (3, 3) box over ab, an accepted one when there is
+        # one and a coin says so, since most of the box is rejected
+        from helpers import random_lexp
+        from lassokit import lexp_to_str, member_lasso_naive
+
+        expr = random_lexp(random.Random(seed), "ab", depth)
+        accepted = [l for l in LASSO_BOX if member_lasso_naive(expr, l)]
+        lasso = data.draw(st.sampled_from(accepted if accepted and data.draw(st.booleans()) else LASSO_BOX))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["member", "--lexp", lexp_to_str(expr), "--alphabet", "abc", "--lasso", str(lasso)])
+        expected = lasso in accepted
         assert (code, last_line(out.getvalue())) == ((0, "yes") if expected else (1, "no"))
 
     def test_member_oexp(self, capsys):
@@ -458,13 +488,13 @@ class TestGoldenAgainstLibrary:
     def test_convert_df_parses_back(self, capsys):
         from lassokit import (
             Alphabet,
-            df_member,
             enumerate_lassos,
             member_lasso_naive,
             parse_lexp,
             parse_oexpr,
             represent,
         )
+        from helpers import df_member
 
         _, out, _ = run(capsys, "convert", "--oexp", "(ab)$")
         back = parse_lexp(out.strip())

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import certify_oracle, equivalent_dfa_oracle, minimize_dfa_oracle, random_lauto, random_rexp
+from helpers import certify_oracle, concat_dfa, equivalent_dfa_oracle, minimize_dfa_oracle, random_lauto, random_rexp
 from lassokit import langops
 from lassokit import (
     Alphabet,
@@ -21,7 +21,6 @@ from lassokit import (
     compile_dfa,
     compile_lasso,
     complement,
-    concat_dfa,
     dfa_to_dot,
     dfa_to_expr,
     enumerate_language,

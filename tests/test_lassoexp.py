@@ -3,7 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import loop_live_spoke_states, random_lexp, random_rexp, random_rexp_no_ewp, spoke_state
+from helpers import (
+    d1_general,
+    d2_general,
+    df_member,
+    df_to_lexp,
+    loop_live_spoke_states,
+    random_lexp,
+    random_rexp,
+    random_rexp_no_ewp,
+    spoke_live_naive,
+    spoke_state,
+)
 from lassokit import (
     Alphabet,
     AlphabetMismatchError,
@@ -24,13 +35,11 @@ from lassokit import (
     compile_dfa,
     compile_lasso,
     d1_df,
-    d1_general,
     d2_df,
-    d2_general,
-    df_member,
     disjunctive_form,
     enumerate_lassos,
     h_map,
+    lexp_spoke_walk,
     lexp_to_str,
     member_lasso_naive,
     member_naive,
@@ -39,9 +48,9 @@ from lassokit import (
     parse_lexp,
     parse_oexpr,
     right_quotient,
-    spoke_live_naive,
     to_nba,
 )
+from lassokit import lassoexp
 from lassokit.ratexp import Concat, Letter, Sum, words_up_to
 from lassokit.syntax import parse_rexp
 
@@ -135,6 +144,60 @@ class TestSpokeLive:
             assert spoke_live_naive(rho, u) == (spoke_state(aut, u) in live), (rho, u)
 
 
+class TestLexpSpokeWalk:
+    """`lexp_spoke_walk`, the spoke test of `enumerate --lexp`: the same
+    walk as `omega.live_spoke_walk`, on disjunctive forms stepped by
+    `d1_df`, with `spoke_live_naive` as its reference."""
+
+    def test_liveness_is_not_prefix_closed(self):
+        rho = parse_lexp("b(a@)")
+        walk = lexp_spoke_walk(rho)
+        assert not walk("") and walk("b")
+        assert [u for u in ("", "a", "b", "ba", "bb") if walk(u)] == ["b"]
+        assert not spoke_live_naive(rho, "") and spoke_live_naive(rho, "b")
+
+    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_matches_the_oracle(self, seed, letters, depth, rng):
+        rho = random_lexp(random.Random(seed), letters, depth)
+        spokes = list(words_up_to(Alphabet(tuple(letters)), 4))
+        rng.shuffle(spokes)
+        walk = lexp_spoke_walk(rho)
+        assert [u for u in spokes if walk(u)] == [u for u in spokes if spoke_live_naive(rho, u)], lexp_to_str(rho)
+
+    def test_order_of_questions_does_not_matter(self):
+        rho = parse_lexp("(a+b)*(aab)(b@)+b(a*b)*(a@)")
+        spokes = list(words_up_to(AB, 4))
+        forward, backward = lexp_spoke_walk(rho), lexp_spoke_walk(rho)
+        answers = [backward(u) for u in reversed(spokes)][::-1]
+        assert [forward(u) for u in spokes] == answers
+        assert any(answers) and not all(answers)
+
+    def test_long_spoke_asked_first(self):
+        # its prefixes were never asked: the walk steps forward over them
+        # without recursion, beyond the default recursion limit, and gives
+        # the answers of the prefixes asked in order
+        rho = parse_lexp("(a+b)*(aab)(b@)+b(a*b)*(a@)")
+        for u in ("aab" * 2000, "b" + "a" * 5000):
+            first, in_order = lexp_spoke_walk(rho), lexp_spoke_walk(rho)
+            answers = [in_order(u[:i]) for i in range(len(u) + 1)]
+            assert first(u) == answers[-1]
+            assert [first(u[:i]) for i in (0, 1, 2, 3, 2999, len(u) - 1)] == [
+                answers[i] for i in (0, 1, 2, 3, 2999, len(u) - 1)
+            ]
+        dead = lexp_spoke_walk(parse_lexp("a*(b@)"))
+        assert not dead("a" * 3000 + "b" + "a" * 3000) and dead("a" * 6000)
+
+    def test_dead_spoke_extends_without_a_step(self, monkeypatch):
+        steps = []
+        d1 = lassoexp.d1_df
+        monkeypatch.setattr(lassoexp, "d1_df", lambda df, a: steps.append(df) or d1(df, a))
+        walk = lexp_spoke_walk(parse_lexp("a*(b@)"))
+        assert [u for u in words_up_to(AB, 6) if walk(u)] == ["a" * n for n in range(7)]
+        # one step from each live spoke a^0 .. a^5 per letter
+        assert len(steps) == 12
+
+
 class TestDisjunctiveForm:
     def test_single_pair(self):
         df = disjunctive_form(parse_lexp("b(a*b@)"))
@@ -160,8 +223,6 @@ class TestDisjunctiveForm:
         assert df.pairs == ((Letter("a"), Letter("b")),)
 
     def test_back_to_expression(self):
-        from lassokit import df_to_lexp
-
         rng = random.Random(19)
         for _ in range(40):
             rho = random_lexp(rng, "ab", 3)
@@ -320,8 +381,9 @@ class TestKinds:
         assert LZERO != OZERO
         assert Prefix(r, Circle(r)) != OPrefix(r, Circle(r))
         omega = [parse_oexpr("a(b$)+b$"), OmegaPower(r), OZERO]
+        member = lambda T: member_lasso_naive(T, Lasso("", "ab"))
         for T in omega:
-            for reject in (disjunctive_form, compile_lasso, lambda T: member_lasso_naive(T, Lasso("", "ab"))):
+            for reject in (disjunctive_form, compile_lasso, lexp_spoke_walk, member):
                 with pytest.raises(TypeError):
                     reject(T)
         for rho in [parse_lexp("a(b@)+b@"), Circle(r), LZERO]:

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    concat_dfa,
+    df_member,
+    df_to_lexp,
     gamma_class_upto,
     gamma_map_oracle,
     live_states_oracle,
@@ -32,7 +35,6 @@ from lassokit import (
     StateLimitError,
     accepts,
     compile_lasso,
-    df_member,
     disjunctive_form,
     enumerate_lassos,
     equivalent_lasso,
@@ -54,9 +56,9 @@ from lassokit import (
     up_member,
 )
 from lassokit import langops, omega
-from lassokit.langops import boolean_combine, compile_dfa, concat_dfa, dfa_to_expr, is_empty_dfa, minimize_dfa, root
+from lassokit.langops import boolean_combine, compile_dfa, dfa_to_expr, is_empty_dfa, minimize_dfa, root
 from lassokit.lassoaut import extract_omega_expr, write_automaton
-from lassokit.lassoexp import df_to_lexp, df_to_str
+from lassokit.lassoexp import df_to_str
 from lassokit.ratexp import Letter, ONE, rcat, split, words_up_to
 from lassokit.syntax import parse_rexp
 

@@ -23,6 +23,7 @@ import pathlib
 
 import pytest
 
+from helpers import df_to_lexp
 from lassokit import Alphabet, read_automaton
 from lassokit.cli import main
 from lassokit.lassoaut import extract_expr, extract_omega_expr, is_saturated
@@ -31,7 +32,6 @@ from lassokit.lassoexp import (
     Terminal,
     TailSum,
     compile_lasso,
-    df_to_lexp,
     df_to_str,
     disjunctive_form,
     lexp_to_str,
