@@ -244,15 +244,15 @@ def cmd_enumerate(args) -> int:
         for w in enumerate_language(expr, args.maxlen, alphabet):
             print(_word_literal(w))
         return 0
-    # each spoke is tested once, shortest first, and only a live spoke gets
-    # lassos built, which the oracle then decides
+    # the spokes are walked level by level, and only a spoke the walk lists
+    # gets lassos built, which the oracle then decides
     if kind == "lexp":
-        live = lexp_spoke_walk(expr)
+        walk = lexp_spoke_walk(expr)
         check = lambda l: member_lasso_naive(expr, l)
     else:
-        live = live_spoke_walk(expr, alphabet)
+        walk = live_spoke_walk(expr, alphabet)
         check = lambda l: up_member(expr, l, alphabet)
-    for l in enumerate_lassos(alphabet, args.max_spoke, args.max_loop, live):
+    for l in enumerate_lassos(alphabet, args.max_spoke, args.max_loop, walk):
         if check(l):
             print(str(l))
     return 0

@@ -15,9 +15,10 @@ of two kinds never compare equal, and the functions that give an
 expression its meaning reject the other kind with a TypeError:
 `member_lasso_naive` and `disjunctive_form` here, `h_map` and `to_nba`
 in `omega`.  Everything else that reads a lasso expression starts from
-its disjunctive form (`compile_lasso`, `lexp_spoke_walk`, the
-derivative fold of `member --lexp`), and everything else that reads an
-omega expression from `h_map` or `to_nba`.
+its disjunctive form (`compile_lasso`, the spoke walk of `enumerate
+--lexp` in `lexp_spoke_walk`, the derivative fold of `member --lexp`),
+and everything else that reads an omega expression from `h_map` or
+`to_nba`.
 
 Every lasso expression flattens to a disjunctive form, a finite set of
 (spoke expression, loop expression) pairs.  Its Brzozowski derivatives
@@ -35,7 +36,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import NullableLoopError, ParseError
 from .langops import Dfa, boolean_combine, compile_dfa, explore, minimize_dfa
-from .lassos import Lasso, spoke_walk
+from .lassos import Lasso, SpokeWalk
 from .ratexp import (
     Alphabet,
     ONE,
@@ -250,8 +251,6 @@ def tailed_letters(rho: TailedExpr) -> set[str]:
     raise TypeError(f"not a lasso or omega expression: {rho!r}")
 
 
-oprefix = tprefix
-osum = tsum
 lexp_to_str = oexp_to_str = tailed_to_str
 lexp_letters = oexp_letters = tailed_letters
 
@@ -363,19 +362,19 @@ def d2_df(df: DisjunctiveForm, a: str) -> RatExpr:
     return normalize_b(sum_of(deriv(s, a) for t, s in df.pairs if ewp(t)))
 
 
-def lexp_spoke_walk(rho: LassoExpr) -> Callable[[str], bool]:
-    """A test of spokes: does some lasso with spoke u lie in rho?  That
-    holds iff some accepted lasso has spoke u, so a spoke it rejects
-    needs no loop tried.
+def lexp_spoke_walk(rho: LassoExpr) -> SpokeWalk[DisjunctiveForm]:
+    """The spoke walk of `enumerate --lexp`: it lists u iff some lasso
+    with spoke u lies in rho, so a spoke it does not list needs no loop
+    tried.
 
-    `spoke_walk` on disjunctive forms, stepped by `d1_df`: the form that
-    u reaches holds the pairs (u⁻¹t, s), and u is live iff one of their
-    spokes accepts the empty word, since every loop s of a form denotes
-    some nonempty word.  Liveness is not prefix-closed (for b(a@) the
-    spoke '' is dead and b is live), but a form with no pairs is dead
-    for good: it steps only to itself.
+    A spoke's state is a disjunctive form, stepped by `d1_df`: the form
+    that u reaches holds the pairs (u⁻¹t, s), and u is listed iff one of
+    their spokes accepts the empty word, since every loop s of a form
+    denotes some nonempty word.  Liveness is not prefix-closed (for b(a@)
+    the spoke '' is not listed and b is), but a form with no pairs is
+    falsy and dead for good: it steps only to itself.
     """
-    return spoke_walk(disjunctive_form(rho), d1_df, lambda df: any(ewp(t) for t, _ in df.pairs))
+    return disjunctive_form(rho), d1_df, lambda df: any(ewp(t) for t, _ in df.pairs)
 
 
 def compile_lasso(rho: LassoExpr | DisjunctiveForm, alphabet: Alphabet | None = None):

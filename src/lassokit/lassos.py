@@ -10,9 +10,10 @@ checks the same thing by direct word comparison and serves as the
 independent oracle.
 
 `enumerate_lassos` lists the lassos up to a bound, optionally only
-those whose spoke passes a spoke test; `spoke_walk` is the one
-incremental spoke test, which the enumeration of lasso expressions and
-of omega expressions both run.
+those whose spoke a spoke walk lists.  The enumeration of lasso
+expressions and of omega expressions each pass their own walk, on
+disjunctive forms (`lassoexp.lexp_spoke_walk`) or on the Büchi oracle's
+live states (`omega.live_spoke_walk`), and both run on `walk_words`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import lcm
 from typing import TypeVar
 
 from .errors import ParseError
-from .ratexp import Alphabet, words_up_to
+from .ratexp import Alphabet, walk_words, words_up_to
 from .syntax import check_symbols
 
 S = TypeVar("S")
@@ -112,50 +113,30 @@ def expansions(l: Lasso, k_max: int = 2) -> list[Lasso]:
     return out
 
 
-def enumerate_lassos(
-    alphabet: Alphabet, max_spoke: int, max_loop: int, live: Callable[[str], bool] | None = None
-) -> list[Lasso]:
-    """All lassos with |spoke| <= max_spoke and 1 <= |loop| <= max_loop,
-    spoke-major in `words_up_to` order.
+# a spoke walk: (state of the empty spoke, step on a letter, is a state's
+# spoke listed); a falsy state is dead, and steps only to dead states
+SpokeWalk = tuple[S, Callable[[S, str], S], Callable[[S], bool]]
+# one truthy state that every letter keeps: every spoke is listed
+EVERY_SPOKE: SpokeWalk = (True, lambda state, a: state, bool)
 
-    With a spoke test `live`, only the lassos whose spoke passes it: each
-    spoke is asked once, shortest first, and a spoke that fails builds no
-    lasso.
+
+def enumerate_lassos(
+    alphabet: Alphabet, max_spoke: int, max_loop: int, walk: SpokeWalk = EVERY_SPOKE
+) -> list[Lasso]:
+    """The lassos with |spoke| <= max_spoke and 1 <= |loop| <= max_loop
+    whose spoke the walk lists, spoke-major in `words_up_to` order.
+
+    The spokes are `walk_words` on the walk: a spoke's state is one step
+    from its prefix's state, a spoke with a falsy (dead) state is neither
+    extended nor listed, and a spoke is listed iff `live` holds of its
+    state.  A dead state steps only to dead states, so pruning its
+    extensions drops no listed spoke, and the work follows the spokes
+    that stay alive, not |alphabet|^max_spoke.  The default walk lists
+    every spoke.
     """
     if max_loop < 1:
         raise ValueError("max_loop must be at least 1")
+    start, step, live = walk
     loops = list(words_up_to(alphabet, max_loop))[1:]
-    spokes = words_up_to(alphabet, max_spoke)
-    if live is not None:
-        spokes = filter(live, spokes)
-    return [Lasso(u, v) for u in spokes for v in loops]
-
-
-def spoke_walk(start: S, step: Callable[[S, str], S], live: Callable[[S], bool]) -> Callable[[str], bool]:
-    """A test of spokes: u passes iff `live` holds of the state that
-    `step` reaches from `start` on the letters of u.
-
-    The state of u is one step from the state of u less its last letter
-    when that was asked for before; asked shortest first, as
-    `enumerate_lassos` asks its spoke test, each spoke costs one step.
-    Otherwise the state is walked forward from the empty spoke, one letter
-    at a time and without recursion, and only u's own state is kept.  A
-    falsy state is dead: nothing is left of it to step, so it is never
-    stepped, and every extension of its spoke gets it without a step.
-    """
-    reached = {"": start}  # spoke -> its state
-
-    def state(u: str) -> S:
-        if u not in reached:
-            before = reached.get(u[:-1])
-            rest = u[-1:]
-            if before is None:
-                before, rest = start, u
-            for a in rest:
-                if not before:
-                    break
-                before = step(before, a)
-            reached[u] = before
-        return reached[u]
-
-    return lambda u: live(state(u))
+    spokes = walk_words(alphabet, max_spoke, start, step, lambda state, left: bool(state))
+    return [Lasso(u, v) for u, state in spokes if live(state) for v in loops]

@@ -44,11 +44,11 @@ the nodes that reach an accepting node lying on a cycle; `_live` finds
 them on the automaton's edges over all letters (`_live_states`) in one
 linear strongly-connected-components pass (Tarjan, "Depth-first search
 and linear graph algorithms", 1972).
-On them `live_spoke_walk` tests spokes alone (`lassos.spoke_walk`, one
-subset step per spoke), so that enumeration decides a lasso only when
-some omega word can follow its spoke (the live-state pruning of
-Ackerman & Shallit, "Efficient enumeration of words in regular
-languages", 2009).
+On them `live_spoke_walk` is the spoke walk of enumeration, one subset
+step per spoke, so that `enumerate_lassos` extends only the spokes that
+some omega word can follow and decides only their lassos (the
+live-state pruning of Ackerman & Shallit, "Efficient enumeration of
+words in regular languages", 2009).
 """
 
 from __future__ import annotations
@@ -76,12 +76,10 @@ from .lassoexp import (
     flatten,
     oexp_letters,
     oexp_to_str,
-    oprefix,
-    osum,
     parse_oexpr,
 )
 from .lassoaut import is_saturated
-from .lassos import Lasso, spoke_walk
+from .lassos import Lasso, SpokeWalk
 from .ratexp import Alphabet, RatExpr, alphabet_of, deriv, ewp, normalize_b, rcat, rstar, split
 
 
@@ -325,22 +323,23 @@ def _live_states(nba: Nba) -> int:
     return sum(1 << q for q in _live(range(n), successors, lambda q: nba.accepting >> q & 1))
 
 
-def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> Callable[[str], bool]:
-    """A test of spokes: is some omega word with prefix u in the
-    language of T?  That holds iff some lasso whose spoke extends u is
-    accepted, so a spoke it rejects needs no loop tried.
+def live_spoke_walk(T: OmegaExpr, alphabet: Alphabet | None = None) -> SpokeWalk[int]:
+    """The spoke walk of `enumerate --oexp`: it lists u iff some omega
+    word with prefix u is in the language of T.  That holds iff some
+    lasso whose spoke extends u is accepted, so a spoke it does not list
+    needs no loop tried.
 
-    `spoke_walk` on the Buchi automaton: each spoke carries the bit mask
-    of the live states (`_live_states`) that it reaches, one `_image`
-    step on the letter's row per letter, and the spoke is live iff that
-    mask is nonzero.  The empty mask is the dead state, and it steps only
-    to itself, so here liveness is prefix-closed.  Oracle machinery, like `up_member`: nothing of
-    the pipeline is used.
+    A spoke's state is the bit mask of the live states (`_live_states`)
+    of the Buchi automaton that it reaches, one `_image` step on the
+    letter's row per letter, and the spoke is listed iff that mask is
+    nonzero.  The empty mask is the dead state, and it steps only to
+    itself, so here liveness is prefix-closed.  Oracle machinery, like
+    `up_member`: nothing of the pipeline is used.
     """
     nba = to_nba(T, _oexp_alphabet(T, alphabet))
     live = _live_states(nba)
     step = lambda states, a: live & _image(nba.rows[nba.alphabet.index(a)], states)
-    return spoke_walk(live & nba.initials, step, bool)
+    return live & nba.initials, step, bool
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The term algebra is the usual one (0, 1, letters, concatenation, union,
 star).  Terms are immutable and hashable, which lets normalized terms
 serve directly as automaton states.  `member_naive` is a deliberately
 derivative-free membership oracle used to cross-check everything built
-on top of `deriv`.  `enumerate_language` lists a language up to a length
-without it, bottom-up over the term, and is cross-checked against it.
+on top of `deriv`.  `walk_words` is the one enumeration of words: it
+reads a language up to a length off an automaton level by level, for
+`enumerate_language` on the derivatives and for
+`lassos.enumerate_lassos` on a spoke walk.
 
 Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): a term class's constructor returns the one object
@@ -42,9 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from math import inf
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import AlphabetMismatchError
+
+S = TypeVar("S")
 
 
 @dataclass(frozen=True)
@@ -202,16 +207,6 @@ def rcat(l: RatExpr, r: RatExpr) -> RatExpr:
     if r is ONE:
         return l
     return Concat(l, r)
-
-
-def rsum(l: RatExpr, r: RatExpr) -> RatExpr:
-    if l is ZERO:
-        return r
-    if r is ZERO:
-        return l
-    if l is r:
-        return l
-    return Sum(l, r)
 
 
 def rstar(x: RatExpr) -> RatExpr:
@@ -497,58 +492,68 @@ def words_up_to(alphabet: Alphabet, maxlen: int) -> Iterator[str]:
             yield "".join(tup)
 
 
+def walk_words(
+    letters: Iterable[str], max_len: int, start: S, step: Callable[[S, str], S], alive: Callable[[S, int], bool]
+) -> Iterator[tuple[str, S]]:
+    """The words of length <= max_len that a walk keeps, each with its
+    state, in `words_up_to` order.
+
+    The empty word has state `start`, and a word's state is one `step`
+    from its prefix's state.  A word is kept while `alive(state, left)`
+    holds, `left` being the letters that may still follow it, and only a
+    kept word is extended.  The walk goes level by level from the kept
+    words of the level before, without recursion, so its work is |letters|
+    steps per kept word shorter than max_len, and no state that fails
+    `alive` is ever stepped (Ackerman & Shallit, "Efficient enumeration of
+    words in regular languages", 2009).
+    """
+    letters = tuple(letters)
+    left = max_len
+    level = [("", start)] if left >= 0 and alive(start, left) else []
+    while level:
+        yield from level
+        left -= 1
+        if left < 0:
+            break
+        level = [(u + a, s) for u, q in level for a in letters if alive(s := step(q, a), left)]
+
+
 def enumerate_language(t: RatExpr, maxlen: int, alphabet: Alphabet | None = None) -> list[str]:
     """All words of the language of t up to the given length, in
-    `words_up_to` order.
+    `words_up_to` order: `walk_words` over the Brzozowski derivatives.
 
-    The language is built bottom-up: each subterm keeps one set of words
-    per length 0..maxlen.  A concatenation joins length i with length j
-    for i + j <= maxlen, and a star is built length by length from its
-    nonempty body words, so the work follows the words the subterms have,
-    at most (maxlen + 1) times the number of words up to maxlen per
-    subterm, not the |alphabet|^maxlen candidates.  Letters outside the
-    alphabet match nothing.
+    A word's state is its derivative of t, and the word is kept while that
+    derivative has a word of at most `left` letters, so the work is
+    |alphabet| steps per kept word shorter than maxlen, not the
+    |alphabet|^maxlen candidates, and no derivative is built that no kept
+    word reaches.  A kept word is listed when its derivative has the empty
+    word.  Letters outside the alphabet match nothing.
     """
     if alphabet is None:
         alphabet = infer_alphabet(t)
-    if maxlen < 0:
-        return []
-    lengths = range(maxlen + 1)
-    by_term: dict[RatExpr, list[set[str]]] = {}
+    fewest: dict[RatExpr, float] = {}  # term -> letters of its shortest word
 
-    def words(t: RatExpr) -> list[set[str]]:
-        if t in by_term:
-            return by_term[t]
-        out: list[set[str]] = [set() for _ in lengths]
-        match t:
-            case Zero():
-                pass
-            case One():
-                out[0].add("")
-            case Letter(c):
-                if c in alphabet and maxlen >= 1:
-                    out[1].add(c)
-            case Sum(l, r):
-                out = [u | v for u, v in zip(words(l), words(r))]
-            case Concat(l, r):
-                left, right = words(l), words(r)
-                for i in lengths:
-                    for j in range(maxlen - i + 1):
-                        out[i + j].update(u + v for u in left[i] for v in right[j])
-            case Star(x):
-                body = words(x)
-                out[0].add("")
-                for n in lengths[1:]:
-                    for i in range(1, n + 1):
-                        out[n].update(u + v for u in body[i] for v in out[n - i])
-            case _:
-                raise TypeError(f"not a rational expression: {t!r}")
-        by_term[t] = out
-        return out
+    def shortest(t: RatExpr) -> float:
+        n = fewest.get(t)
+        if n is None:
+            match t:
+                case Zero():
+                    n = inf
+                case One() | Star(_):
+                    n = 0
+                case Letter(c):
+                    n = 1 if c in alphabet else inf
+                case Sum(l, r):
+                    n = min(shortest(l), shortest(r))
+                case Concat(l, r):
+                    n = shortest(l) + shortest(r)
+                case _:
+                    raise TypeError(f"not a rational expression: {t!r}")
+            fewest[t] = n
+        return n
 
-    # within a length, words_up_to order is the order of alphabet positions
-    positions = str.maketrans({c: chr(i) for i, c in enumerate(alphabet.letters)})
-    return [u for level in words(t) for u in sorted(level, key=lambda u: u.translate(positions))]
+    alive = lambda e, left: shortest(e) <= left
+    return [u for u, e in walk_words(alphabet.letters, maxlen, normalize_b(t), deriv, alive) if ewp(e)]
 
 
 def render_rexp(t: RatExpr, level: int) -> str:

@@ -38,7 +38,7 @@ from lassokit.lassoexp import (
     tsum,
     tsum_of,
 )
-from lassokit.lassos import Lasso, expansions, normal_form
+from lassokit.lassos import Lasso, SpokeWalk, enumerate_lassos, expansions, normal_form
 from lassokit.omega import Nba, OPrefix, OSum, OZERO, OmegaExpr, OmegaPower, _live, _oexp_alphabet, to_nba
 from lassokit.ratexp import (
     Alphabet,
@@ -56,7 +56,6 @@ from lassokit.ratexp import (
     member_naive,
     normalize_b,
     rexp_to_str,
-    rsum,
     split,
 )
 
@@ -459,6 +458,12 @@ def df_to_lexp(df: DisjunctiveForm) -> LassoExpr:
     return tsum_of(LZERO, [tprefix(t, Circle(s)) for t, s in df.pairs])
 
 
+def listed_spokes(walk: SpokeWalk, alphabet: Alphabet, max_spoke: int) -> list[str]:
+    """The spokes up to max_spoke that `enumerate_lassos` builds lassos on
+    under the spoke walk, in the order it lists them."""
+    return list(dict.fromkeys(l.spoke for l in enumerate_lassos(alphabet, max_spoke, 1, walk)))
+
+
 def spoke_live_naive(rho: LassoExpr, u: str) -> bool:
     """Does some lasso with spoke u lie in rho?  `member_lasso_naive`'s
     recursion without the loop test: an '@' takes the empty spoke when its
@@ -494,6 +499,17 @@ def d1_general(rho: LassoExpr, a: str) -> LassoExpr:
                 return tsum(first, d1_general(tail, a))
             return first
     raise TypeError(f"not a lasso expression: {rho!r}")
+
+
+def rsum(l: RatExpr, r: RatExpr) -> RatExpr:
+    """Sum with zero folding and idempotence on one term."""
+    if l is ZERO:
+        return r
+    if r is ZERO:
+        return l
+    if l is r:
+        return l
+    return Sum(l, r)
 
 
 def d2_general(rho: LassoExpr, a: str) -> RatExpr:

@@ -204,8 +204,8 @@ class TestQueries:
         assert out.splitlines() == ["''", "ab", "abab"]
 
     def test_enumerate_cost_follows_the_answer(self, capsys):
-        # one word, whatever the bound: the language is built, not
-        # filtered out of the 2^61 candidate words
+        # one word, whatever the bound: the walk keeps only the prefixes
+        # of words of the language, not the 2^61 candidates
         code, out, _ = run(capsys, "enumerate", "--rexp", "ab", "--alphabet", "ab", "--maxlen", "60")
         assert code == 0
         assert out == "ab\n"
@@ -525,9 +525,9 @@ class TestGoldenAgainstLibrary:
 
 
 class TestEnumerateLassos:
-    """`enumerate --lexp/--oexp` tests each spoke once and asks the oracle
-    only about the lassos of live spokes; its output is the box filtered
-    by the oracle."""
+    """`enumerate --lexp/--oexp` walks the spokes level by level and asks
+    the oracle only about the lassos of the spokes its walk lists; its
+    output is the box filtered by the oracle."""
 
     @given(
         st.integers(0, 10_000),

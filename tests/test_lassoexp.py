@@ -8,6 +8,7 @@ from helpers import (
     d2_general,
     df_member,
     df_to_lexp,
+    listed_spokes,
     loop_live_spoke_states,
     random_lexp,
     random_rexp,
@@ -145,55 +146,36 @@ class TestSpokeLive:
 
 
 class TestLexpSpokeWalk:
-    """`lexp_spoke_walk`, the spoke test of `enumerate --lexp`: the same
-    walk as `omega.live_spoke_walk`, on disjunctive forms stepped by
-    `d1_df`, with `spoke_live_naive` as its reference."""
+    """`lexp_spoke_walk`, the spoke walk of `enumerate --lexp`: the walk
+    of `omega.live_spoke_walk`, on disjunctive forms stepped by `d1_df`,
+    with `spoke_live_naive` as its reference."""
 
     def test_liveness_is_not_prefix_closed(self):
         rho = parse_lexp("b(a@)")
-        walk = lexp_spoke_walk(rho)
-        assert not walk("") and walk("b")
-        assert [u for u in ("", "a", "b", "ba", "bb") if walk(u)] == ["b"]
+        assert listed_spokes(lexp_spoke_walk(rho), AB, 2) == ["b"]
         assert not spoke_live_naive(rho, "") and spoke_live_naive(rho, "b")
 
-    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3), st.randoms(use_true_random=False))
+    @given(st.integers(0, 10_000), st.sampled_from(["ab", "abc"]), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
-    def test_any_order_matches_the_oracle(self, seed, letters, depth, rng):
+    def test_listed_spokes_match_the_oracle(self, seed, letters, depth):
         rho = random_lexp(random.Random(seed), letters, depth)
-        spokes = list(words_up_to(Alphabet(tuple(letters)), 4))
-        rng.shuffle(spokes)
-        walk = lexp_spoke_walk(rho)
-        assert [u for u in spokes if walk(u)] == [u for u in spokes if spoke_live_naive(rho, u)], lexp_to_str(rho)
+        alphabet = Alphabet(tuple(letters))
+        expected = [u for u in words_up_to(alphabet, 4) if spoke_live_naive(rho, u)]
+        assert listed_spokes(lexp_spoke_walk(rho), alphabet, 4) == expected, lexp_to_str(rho)
 
-    def test_order_of_questions_does_not_matter(self):
-        rho = parse_lexp("(a+b)*(aab)(b@)+b(a*b)*(a@)")
-        spokes = list(words_up_to(AB, 4))
-        forward, backward = lexp_spoke_walk(rho), lexp_spoke_walk(rho)
-        answers = [backward(u) for u in reversed(spokes)][::-1]
-        assert [forward(u) for u in spokes] == answers
-        assert any(answers) and not all(answers)
-
-    def test_long_spoke_asked_first(self):
-        # its prefixes were never asked: the walk steps forward over them
-        # without recursion, beyond the default recursion limit, and gives
-        # the answers of the prefixes asked in order
-        rho = parse_lexp("(a+b)*(aab)(b@)+b(a*b)*(a@)")
-        for u in ("aab" * 2000, "b" + "a" * 5000):
-            first, in_order = lexp_spoke_walk(rho), lexp_spoke_walk(rho)
-            answers = [in_order(u[:i]) for i in range(len(u) + 1)]
-            assert first(u) == answers[-1]
-            assert [first(u[:i]) for i in (0, 1, 2, 3, 2999, len(u) - 1)] == [
-                answers[i] for i in (0, 1, 2, 3, 2999, len(u) - 1)
-            ]
-        dead = lexp_spoke_walk(parse_lexp("a*(b@)"))
-        assert not dead("a" * 3000 + "b" + "a" * 3000) and dead("a" * 6000)
+    def test_five_thousand_levels(self):
+        # one live spoke per level, walked without recursion, and the dead
+        # forms of the spokes that leave a* are never extended
+        lassos = enumerate_lassos(AB, 5000, 1, lexp_spoke_walk(parse_lexp("a*(b@)")))
+        assert len(lassos) == 10_002
+        assert [l.spoke for l in lassos[::2]] == ["a" * n for n in range(5001)]
 
     def test_dead_spoke_extends_without_a_step(self, monkeypatch):
         steps = []
         d1 = lassoexp.d1_df
         monkeypatch.setattr(lassoexp, "d1_df", lambda df, a: steps.append(df) or d1(df, a))
         walk = lexp_spoke_walk(parse_lexp("a*(b@)"))
-        assert [u for u in words_up_to(AB, 6) if walk(u)] == ["a" * n for n in range(7)]
+        assert listed_spokes(walk, AB, 6) == ["a" * n for n in range(7)]
         # one step from each live spoke a^0 .. a^5 per letter
         assert len(steps) == 12
 

@@ -154,9 +154,10 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_lassos(AB, 1, 0)
         asked = []
+        walk = (("",), lambda state, a: asked.append(a) or (state[0] + a,), lambda state: asked.append(state) or True)
         with pytest.raises(ValueError):
-            enumerate_lassos(AB, 1, 0, lambda u: asked.append(u) or True)
-        assert asked == []  # raised before any spoke was tested
+            enumerate_lassos(AB, 1, 0, walk)
+        assert asked == []  # raised before any spoke was walked
 
     @given(
         st.sampled_from(["a", "ab", "abc"]),
@@ -166,13 +167,23 @@ class TestEnumerate:
     )
     @settings(max_examples=80, deadline=None)
     def test_spoke_test_filters_the_box(self, letters, max_spoke, max_loop, live_spokes):
+        # a walk whose state is the spoke in a tuple, truthy at every spoke
         alphabet = Alphabet(tuple(letters))
         asked = []
-        live = lambda u: asked.append(u) or u in live_spokes
-        lassos = enumerate_lassos(alphabet, max_spoke, max_loop, live)
+        live = lambda state: asked.append(state[0]) or state[0] in live_spokes
+        walk = (("",), lambda state, a: (state[0] + a,), live)
+        lassos = enumerate_lassos(alphabet, max_spoke, max_loop, walk)
         assert lassos == [l for l in enumerate_lassos(alphabet, max_spoke, max_loop) if l.spoke in live_spokes]
         # each spoke asked once, shortest first, in the order spokes are listed
         assert asked == list(words_up_to(alphabet, max_spoke))
+
+    def test_dead_state_is_neither_listed_nor_stepped(self):
+        # the falsy state () kills every spoke that holds a b
+        stepped = []
+        step = lambda state, a: stepped.append(state[0]) or ((state[0] + a,) if a == "a" else ())
+        lassos = enumerate_lassos(AB, 3, 1, (("",), step, lambda state: True))
+        assert [l.spoke for l in lassos[::2]] == ["", "a", "aa", "aaa"]
+        assert stepped == ["", "", "a", "a", "aa", "aa"]
 
 
 class TestConfluence:

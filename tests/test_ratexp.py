@@ -25,7 +25,8 @@ from lassokit import (
     split,
     word_deriv,
 )
-from lassokit.ratexp import One, RatExpr, Zero, letter_count, structural_key, words_up_to
+from lassokit import ratexp
+from lassokit.ratexp import One, RatExpr, Zero, letter_count, structural_key, walk_words, words_up_to
 from lassokit.syntax import parse_rexp
 
 AB = Alphabet(("a", "b"))
@@ -211,7 +212,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("letters", ["a", "ab", "ba", "abc"])
     def test_matches_member_naive(self, text, letters):
         t, alphabet = parse_rexp(text), Alphabet(tuple(letters))
-        for n in range(8):
+        for n in range(-1, 8):
             assert enumerate_language(t, n, alphabet) == [u for u in words_up_to(alphabet, n) if member_naive(t, u)]
 
     @given(st.integers(0, 10_000), st.sampled_from(["a", "b", "ab", "ba", "abc", "cab"]), st.integers(0, 7))
@@ -221,6 +222,68 @@ class TestEnumerate:
         t = random_rexp(random.Random(seed), "abc", 4)
         alphabet = Alphabet(tuple(letters))
         assert enumerate_language(t, n, alphabet) == [u for u in words_up_to(alphabet, n) if member_naive(t, u)]
+
+    @pytest.mark.parametrize(
+        "text, maxlen, kept, steps",
+        [
+            # "", a, ab: no other word is a prefix of ab
+            ("ab", 60, 3, 6),
+            # the words that start with a, and "": 2^8 of the 2^9 - 1
+            ("a(a+b)*", 8, 256, 256),
+            # the one word lies beyond the bound: nothing is walked
+            ("aaaaaaaaaa", 9, 0, 0),
+            # c is outside the alphabet and matches nothing: nothing is walked
+            ("ac", 5, 0, 0),
+            # 2^17 derivatives, none of them built: no word is within 3 letters
+            ("(a+b)*a" + "(a+b)" * 16, 3, 0, 0),
+        ],
+    )
+    def test_work_follows_the_kept_words(self, monkeypatch, text, maxlen, kept, steps):
+        # at most |alphabet| steps per kept word shorter than maxlen
+        walks = []
+        walk = ratexp.walk_words
+
+        def counted(letters, max_len, start, step, alive):
+            walked, stepped = [], []
+            walks.append((walked, stepped))
+            for u, q in walk(letters, max_len, start, lambda q, a: stepped.append(a) or step(q, a), alive):
+                walked.append(u)
+                yield u, q
+
+        monkeypatch.setattr(ratexp, "walk_words", counted)
+        t = parse_rexp(text)
+        words = enumerate_language(t, maxlen, AB)
+        [(walked, stepped)] = walks
+        assert (len(walked), len(stepped)) == (kept, steps)
+        assert len(stepped) <= len(AB) * sum(len(u) < maxlen for u in walked)
+        assert set(words) <= set(walked)
+        assert all(member_naive(t, u) for u in words)
+
+
+class TestWalkWords:
+    def test_everything_alive_is_words_up_to(self):
+        for letters in ("a", "ab", "ba", "abc"):
+            pairs = list(walk_words(letters, 4, "", lambda u, a: u + a, lambda u, left: True))
+            assert [u for u, _ in pairs] == list(words_up_to(Alphabet(tuple(letters)), 4))
+            # a word's state is one step from its prefix's state
+            assert all(u == state for u, state in pairs)
+
+    def test_bounds(self):
+        no_step = lambda u, a: pytest.fail("stepped")
+        assert list(walk_words("ab", 0, 7, no_step, lambda q, left: True)) == [("", 7)]
+        assert list(walk_words("ab", -1, 7, no_step, lambda q, left: pytest.fail("asked"))) == []
+        assert list(walk_words("ab", 9, 7, no_step, lambda q, left: False)) == []
+
+    def test_letters_left(self):
+        # alive gets the letters that may still follow: here it keeps the
+        # prefixes of abab that can still reach it
+        seen = []
+        alive = lambda u, left: seen.append((u, left)) or ("abab".startswith(u) and len(u) + left >= 4)
+        step = lambda u, a: u + a
+        assert [u for u, _ in walk_words("ab", 6, "", step, alive)] == ["", "a", "ab", "aba", "abab"]
+        assert seen[:3] == [("", 6), ("a", 5), ("b", 5)]
+        seen.clear()
+        assert list(walk_words("ab", 3, "", step, alive)) == [] and seen == [("", 3)]
 
 
 class TestPrinter:
